@@ -28,17 +28,24 @@ correctness never depends on the backend.
 
 The index is immutable and cached on the instance (instances are frozen
 and documented immutable for their lifetime), so repeated selections,
-scores and coverage queries share one build.
+scores and coverage queries share one build.  :meth:`InstanceIndex.build`
+serves cold builds only: after a profile delta the previous index is
+spliced into the new one (:meth:`InstanceIndex.patched`), and the other
+budgets of the same group set share its membership arrays
+(:meth:`InstanceIndex.reweighted`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .groups import GroupKey
+from .errors import InvalidInstanceError
+from .groups import Group, GroupKey
 from .instance import DiversificationInstance
 from .weights import Weight
 
@@ -67,12 +74,28 @@ def id_dtype(n: int) -> type:
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Exact int64 per-row sums of a CSR value array (empty rows -> 0)."""
-    if values.size == 0:
-        return np.zeros(len(indptr) - 1, dtype=np.int64)
-    cumulative = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(values, dtype=np.int64)]
+    starts = np.asarray(indptr[:-1])
+    sums = np.zeros(len(starts), dtype=np.int64)
+    # ``reduceat`` needs every start inside ``values``: only trailing
+    # empty rows start at the end, so they are left at zero; an empty
+    # row elsewhere would read one element and is zeroed afterwards.
+    live = int(np.searchsorted(starts, len(values)))
+    if live:
+        sums[:live] = np.add.reduceat(values, starts[:live], dtype=np.int64)
+        sums[starts == np.asarray(indptr[1:])] = 0
+    return sums
+
+
+def _weights_and_coverage(
+    instance: DiversificationInstance, group_keys: tuple[GroupKey, ...]
+) -> tuple[list, np.ndarray]:
+    """Raw weights and int64 coverage of ``instance``, in dense group order."""
+    cov = np.fromiter(
+        (int(instance.cov[k]) for k in group_keys),
+        dtype=np.int64,
+        count=len(group_keys),
     )
-    return cumulative[indptr[1:]] - cumulative[indptr[:-1]]
+    return [instance.wei[k] for k in group_keys], cov
 
 
 @dataclass(frozen=True)
@@ -93,7 +116,10 @@ class InstanceIndex:
     u_indptr / u_indices:
         CSR rows per user listing the dense ids of its groups.
     g_indptr / g_indices:
-        CSR rows per group listing the dense ids of its members.
+        CSR rows per group listing the dense ids of its members.  The
+        order of the entries inside one row is unspecified (:meth:`build`
+        follows frozenset order, :meth:`patched` appends joiners), so
+        every consumer treats a row as a set.
     cov:
         Required coverage per group (int64).
     wei:
@@ -164,44 +190,17 @@ class InstanceIndex:
         u_indptr = np.zeros(n_users + 1, dtype=np.int64)
         np.cumsum(degree, out=u_indptr[1:])
 
-        cov = np.fromiter(
-            (int(instance.cov[k]) for k in group_keys),
-            dtype=np.int64,
-            count=n_groups,
-        )
-
-        raw_weights = [instance.wei[k] for k in group_keys]
-        vectorizable = all(
-            isinstance(w, int) and not isinstance(w, bool) for w in raw_weights
-        )
-        if vectorizable:
-            # Exact Python-int bound on every partial sum any backend
-            # forms: gains, scores and cumulative sums all total at most
-            # Σ_G wei(G)·|G| (coverage caps only shrink terms).
-            mass = sum(
-                w * int(g_indptr[gid + 1] - g_indptr[gid])
-                for gid, w in enumerate(raw_weights)
-            )
-            vectorizable = mass <= _INT64_MAX
-
-        wei = initial_gains = None
-        if vectorizable:
-            wei = np.fromiter(raw_weights, dtype=np.int64, count=n_groups)
-            initial_gains = _segment_sums(wei[u_indices], u_indptr)
-
-        return cls(
+        weights, cov = _weights_and_coverage(instance, group_keys)
+        return cls.from_csr(
             users=users,
-            user_pos=user_pos,
             group_keys=group_keys,
-            group_pos={key: gid for gid, key in enumerate(group_keys)},
             u_indptr=u_indptr,
             u_indices=u_indices,
             g_indptr=g_indptr,
             g_indices=g_indices,
             cov=cov,
-            wei=wei,
-            initial_gains=initial_gains,
-            vectorizable=vectorizable,
+            weights=weights,
+            user_pos=user_pos,
         )
 
     @classmethod
@@ -216,15 +215,16 @@ class InstanceIndex:
         cov: np.ndarray,
         weights: list | None,
         user_pos: Mapping[str, int] | None = None,
+        group_pos: Mapping[GroupKey, int] | None = None,
     ) -> "InstanceIndex":
         """Assemble an index from pre-built CSR arrays.
 
-        The columnar construction path lands here: it produces the arrays
-        directly from triple columns without materializing dict-of-dict
-        repositories or group sets.  ``weights`` are exact Python ints (or
-        ``None`` for a non-vectorizable index); the same
-        ``Σ_G wei(G)·|G|`` int64-representability check as :meth:`build`
-        decides whether the vectorized fast path is safe.
+        Every construction path lands here — :meth:`build`, the columnar
+        path (arrays straight from triple columns), :meth:`patched` and
+        :meth:`reweighted`.  ``weights`` are the raw per-group weights
+        (``None`` for a known non-vectorizable index): the index is
+        vectorizable iff every weight is a Python ``int`` and
+        ``Σ_G wei(G)·|G|`` is representable in int64.
         """
         n_groups = len(group_keys)
         vectorizable = weights is not None and all(
@@ -232,10 +232,11 @@ class InstanceIndex:
         )
         if vectorizable:
             assert weights is not None
-            mass = sum(
-                w * int(g_indptr[gid + 1] - g_indptr[gid])
-                for gid, w in enumerate(weights)
-            )
+            # Exact Python-int bound on every partial sum any backend
+            # forms: gains, scores and cumulative sums all total at most
+            # Σ_G wei(G)·|G| (coverage caps only shrink terms).
+            sizes = np.diff(np.asarray(g_indptr)).tolist()
+            mass = sum(w * size for w, size in zip(weights, sizes))
             vectorizable = mass <= _INT64_MAX
         wei = initial_gains = None
         if vectorizable:
@@ -246,11 +247,13 @@ class InstanceIndex:
             # mapped checkpoint) pass the id→row mapping through instead:
             # enumerating here would decode the whole id array.
             user_pos = {u: i for i, u in enumerate(users)}
+        if group_pos is None:
+            group_pos = {key: gid for gid, key in enumerate(group_keys)}
         return cls(
             users=users,
             user_pos=user_pos,
             group_keys=group_keys,
-            group_pos={key: gid for gid, key in enumerate(group_keys)},
+            group_pos=group_pos,
             u_indptr=u_indptr,
             u_indices=u_indices,
             g_indptr=g_indptr,
@@ -260,6 +263,271 @@ class InstanceIndex:
             initial_gains=initial_gains,
             vectorizable=vectorizable,
         )
+
+    def reweighted(
+        self, instance: DiversificationInstance
+    ) -> "InstanceIndex":
+        """This index's membership arrays under ``instance``'s weights.
+
+        The budgets of one configuration share a group set, so their
+        indexes differ only in ``wei``, ``cov`` and ``initial_gains``.
+        ``instance`` must be built over a group set with this index's
+        memberships; the returned index shares every membership array
+        (and both id maps) with this one.
+        """
+        weights, cov = _weights_and_coverage(instance, self.group_keys)
+        return InstanceIndex.from_csr(
+            users=self.users,
+            group_keys=self.group_keys,
+            u_indptr=self.u_indptr,
+            u_indices=self.u_indices,
+            g_indptr=self.g_indptr,
+            g_indices=self.g_indices,
+            cov=cov,
+            weights=weights,
+            user_pos=self.user_pos,
+            group_pos=self.group_pos,
+        )
+
+    def patched(
+        self,
+        groups: Iterable[Group],
+        touched: Iterable[str],
+        instance: DiversificationInstance,
+    ) -> "InstanceIndex":
+        """Index of ``instance`` derived by splicing the touched users' rows.
+
+        ``groups`` is this index's group set after
+        :func:`~repro.core.updates.reassign_groups` moved ``touched``:
+        the same keys in the same order, with only the touched users'
+        memberships changed.  The result equals
+        ``InstanceIndex.build(instance)`` array for array, except that
+        the entries inside a g-side row may come in another order (see
+        ``g_indices``).  Cost: one pass over ``groups`` intersecting each
+        member set with ``touched``, O(n) vector work for the degree
+        array, and copies of the CSR arrays spliced around the touched
+        rows — no argsort and no Python loop over untouched memberships:
+
+        * a delta that only rescores grouped users reuses ``users`` and
+          ``user_pos``; inserts and removals remap every kept dense id
+          in one gather through an old→new id table;
+        * u-side: the touched users' old rows are cut out and their new
+          rows inserted at their sorted positions;
+        * g-side: only the rows of groups a touched user left or joined
+          are rebuilt — old entries dropped, new entries appended.
+        """
+        touched = frozenset(touched)
+        keys = self.group_keys
+        groups = list(groups)
+        if len(groups) != len(keys) or any(
+            g.key != k for g, k in zip(groups, keys)
+        ):
+            raise ValueError(
+                "patched() needs the indexed group set's keys in their "
+                "original order"
+            )
+        # Each touched user's new row: the groups it now belongs to.
+        joined: dict[str, list[int]] = {}
+        for gid, group in enumerate(groups):
+            for user_id in touched & group.members:
+                joined.setdefault(user_id, []).append(gid)
+        old_pos = self.user_pos
+        # Touched users present before or after, in id order (which is
+        # dense-row order in both indexes), with their old rows.
+        moved = sorted(u for u in touched if u in joined or u in old_pos)
+        if not moved:
+            return self.reweighted(instance)
+        before = [old_pos.get(u) for u in moved]
+        starts = [
+            p if p is not None else bisect_left(self.users, u)
+            for u, p in zip(moved, before)
+        ]
+        gone = [
+            p
+            for u, p in zip(moved, before)
+            if p is not None and u not in joined
+        ]
+        added = [s for s, p in zip(starts, before) if p is None]
+
+        n_old = self.n_users
+        if gone or added:
+            pieces: list = []
+            cursor = 0
+            for u, p, start in zip(moved, before, starts):
+                pieces.append(self.users[cursor:start])
+                if u in joined:
+                    pieces.append((u,))
+                cursor = start if p is None else start + 1
+            pieces.append(self.users[cursor:])
+            users = tuple(chain.from_iterable(pieces))
+            user_pos: Mapping[str, int] = dict(zip(users, range(len(users))))
+        else:
+            users, user_pos = self.users, self.user_pos
+        n_new = len(users)
+        g_dtype = id_dtype(n_new)
+        old_ids = np.arange(n_old, dtype=np.int64)
+        new_of_old = (
+            old_ids
+            - np.searchsorted(np.asarray(gone, dtype=np.int64), old_ids)
+            + np.searchsorted(
+                np.asarray(added, dtype=np.int64), old_ids, side="right"
+            )
+        ).astype(g_dtype)
+        cut = [p for p in before if p is not None]
+        new_of_old[cut] = -1
+
+        # u-side: splice each moved user's new row over its old one.
+        u_dtype = self.u_indices.dtype
+        u_parts = []
+        cursor = 0
+        for u, p, start in zip(moved, before, starts):
+            lo = int(self.u_indptr[start])
+            u_parts.append(self.u_indices[cursor:lo])
+            if u in joined:
+                u_parts.append(np.asarray(joined[u], dtype=u_dtype))
+            cursor = int(self.u_indptr[start + 1]) if p is not None else lo
+        u_parts.append(self.u_indices[cursor:])
+        u_indices = np.concatenate(u_parts)
+        degree = np.zeros(n_new, dtype=np.int64)
+        kept = new_of_old >= 0
+        degree[new_of_old[kept]] = np.diff(self.u_indptr)[kept]
+        appended: dict[int, list[int]] = {}
+        for user_id, gids in joined.items():
+            row = user_pos[user_id]
+            degree[row] = len(gids)
+            for gid in gids:
+                appended.setdefault(gid, []).append(row)
+        u_indptr = np.zeros(n_new + 1, dtype=np.int64)
+        np.cumsum(degree, out=u_indptr[1:])
+
+        # g-side: rebuild only the rows a moved user left or joined.
+        left = [self.groups_of_row(p) for p in cut]
+        affected = np.unique(
+            np.concatenate(
+                [np.fromiter(appended, dtype=np.int64, count=len(appended))]
+                + [np.asarray(row, dtype=np.int64) for row in left]
+            )
+        )
+        source = (
+            new_of_old[self.g_indices] if gone or added else self.g_indices
+        )
+        sizes = np.diff(self.g_indptr)
+        g_parts = []
+        cursor = 0
+        for gid in affected.tolist():
+            lo, hi = int(self.g_indptr[gid]), int(self.g_indptr[gid + 1])
+            g_parts.append(source[cursor:lo])
+            row = new_of_old[self.g_indices[lo:hi]]
+            row = row[row >= 0]
+            extra = np.asarray(appended.get(gid, ()), dtype=g_dtype)
+            g_parts.extend((row, extra))
+            sizes[gid] = len(row) + len(extra)
+            cursor = hi
+        g_parts.append(source[cursor:])
+        g_indices = np.concatenate(g_parts).astype(g_dtype, copy=False)
+        g_indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=g_indptr[1:])
+
+        weights, cov = _weights_and_coverage(instance, keys)
+        return InstanceIndex.from_csr(
+            users=users,
+            group_keys=keys,
+            u_indptr=u_indptr,
+            u_indices=u_indices,
+            g_indptr=g_indptr,
+            g_indices=g_indices,
+            cov=cov,
+            weights=weights,
+            user_pos=user_pos,
+            group_pos=self.group_pos,
+        )
+
+    def validate(self) -> None:
+        """Check the index's structural invariants; raise if one fails.
+
+        Cheap checks a test can afford after every patch or restore:
+        both ``indptr`` arrays start at 0, are monotone and end at the
+        entry count; ``users`` is strictly ascending with ``user_pos``
+        its inverse (``group_pos`` likewise for ``group_keys``); every
+        id is in range; the u-side and g-side hold the same (user,
+        group) pairs, so each side is the other's transpose as a
+        multiset per row; ``cov ≥ 1``; and ``initial_gains`` equals the
+        per-user segment sums of ``wei``.  Raises
+        :class:`~repro.core.errors.InvalidInstanceError`.
+        """
+
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise InvalidInstanceError(f"index invariant violated: {what}")
+
+        n_users, n_groups = self.n_users, self.n_groups
+        for side, indptr, indices, rows, bound in (
+            ("u", self.u_indptr, self.u_indices, n_users, n_groups),
+            ("g", self.g_indptr, self.g_indices, n_groups, n_users),
+        ):
+            check(len(indptr) == rows + 1, f"{side}_indptr length")
+            check(int(indptr[0]) == 0, f"{side}_indptr[0] != 0")
+            check(
+                bool(np.all(np.diff(indptr) >= 0)), f"{side}_indptr monotone"
+            )
+            check(int(indptr[-1]) == len(indices), f"{side}_indptr[-1]")
+            check(
+                len(indices) == 0
+                or (int(indices.min()) >= 0 and int(indices.max()) < bound),
+                f"{side}_indices in range",
+            )
+        users = list(self.users)
+        check(
+            all(a < b for a, b in zip(users, users[1:])),
+            "users strictly ascending",
+        )
+        check(
+            len(self.user_pos) == n_users
+            and all(self.user_pos.get(u) == i for i, u in enumerate(users)),
+            "user_pos is the inverse of users",
+        )
+        check(
+            len(self.group_pos) == n_groups
+            and all(
+                self.group_pos.get(k) == i
+                for i, k in enumerate(self.group_keys)
+            ),
+            "group_pos is the inverse of group_keys",
+        )
+        u_pairs = (
+            np.repeat(np.arange(n_users), np.diff(self.u_indptr)),
+            np.asarray(self.u_indices, dtype=np.int64),
+        )
+        g_pairs = (
+            np.asarray(self.g_indices, dtype=np.int64),
+            np.repeat(np.arange(n_groups), np.diff(self.g_indptr)),
+        )
+        u_order = np.lexsort((u_pairs[1], u_pairs[0]))
+        g_order = np.lexsort((g_pairs[1], g_pairs[0]))
+        check(
+            all(
+                np.array_equal(a[u_order], b[g_order])
+                for a, b in zip(u_pairs, g_pairs)
+            ),
+            "u-side and g-side are transposes",
+        )
+        check(len(self.cov) == n_groups, "cov length")
+        check(bool(np.all(np.asarray(self.cov) >= 1)), "cov >= 1")
+        check(
+            (self.wei is None) == (not self.vectorizable)
+            and (self.initial_gains is None) == (not self.vectorizable),
+            "wei/initial_gains present iff vectorizable",
+        )
+        if self.vectorizable:
+            assert self.wei is not None and self.initial_gains is not None
+            check(len(self.wei) == n_groups, "wei length")
+            check(
+                np.array_equal(
+                    self.initial_gains,
+                    _segment_sums(self.wei[self.u_indices], self.u_indptr),
+                ),
+                "initial_gains are the segment sums of wei",
+            )
 
     def restricted_scaled(
         self, group_dense_ids: np.ndarray, weights: list
@@ -460,13 +728,19 @@ def instance_index(instance: DiversificationInstance) -> InstanceIndex:
     whenever the set has mutated since — the same invalidation contract
     :func:`property_incidence` has with ``UserRepository.add``.
     """
-    version = instance.groups.version
-    cached = instance.__dict__.get(_CACHE_ATTR)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    index = InstanceIndex.build(instance)
-    object.__setattr__(instance, _CACHE_ATTR, (version, index))
+    index = cached_index(instance)
+    if index is None:
+        index = InstanceIndex.build(instance)
+        attach_index(instance, index)
     return index
+
+
+def cached_index(instance: DiversificationInstance) -> InstanceIndex | None:
+    """The index cached on ``instance`` if still current; never builds."""
+    cached = instance.__dict__.get(_CACHE_ATTR)
+    if cached is not None and cached[0] == instance.groups.version:
+        return cached[1]
+    return None
 
 
 def attach_index(

@@ -9,7 +9,9 @@ applies a *profile delta* to an existing group set in place of a rebuild:
 * bucket boundaries are kept frozen (they move slowly on large
   populations — re-bucket periodically, not per update);
 * changed users are re-assigned to the frozen buckets;
-* weights and coverage are re-materialized from the updated group sizes.
+* weights and coverage are re-materialized from the updated group sizes;
+* the cached sparse index is patched around the touched users' rows
+  instead of re-encoded (:func:`refresh_instances`).
 
 :func:`apply_delta` returns new objects; nothing is mutated, so an
 in-flight selection keeps a consistent snapshot.
@@ -17,11 +19,13 @@ in-flight selection keeps a consistent snapshot.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import InvalidDeltaError, UnknownUserError
 from .groups import Group, GroupingConfig, GroupSet
+from .index import attach_index, cached_index
 from .instance import DiversificationInstance
 from .profiles import UserProfile, UserRepository
 from .weights import CoverageScheme, LBSWeights, SingleCoverage, WeightScheme
@@ -128,21 +132,40 @@ def reassign_groups(
     sets shrink/grow; bucket boundaries, labels and keys are unchanged.
     Buckets that become empty are kept (weights of 0-size LBS groups are
     clamped by the instance builder below).
+
+    A group the delta leaves alone — no touched member, and no upserted
+    profile scoring into its bucket (so in particular every group whose
+    property no upserted profile carries) — is reused as the same
+    :class:`Group` object; only the other groups are rebuilt.  The cost
+    is O(|groups| × |touched|) set probes plus those rebuilds.
     """
     touched = delta.touched
+    upserted = {
+        user_id: repository.profile(user_id)
+        for user_id in touched - delta.removals
+    }
+    carried = {label for p in upserted.values() for label in p.properties}
     updated = GroupSet()
     for group in groups:
-        members = set(group.members) - touched
-        if group.bucket is not None:
-            for user_id in touched - delta.removals:
-                profile = repository.profile(user_id)
-                label = group.key.property_label
-                if label in profile and group.bucket.contains(
-                    profile.score(label)
-                ):
-                    members.add(user_id)
+        label = group.key.property_label
+        joiners = frozenset()
+        if group.bucket is not None and label in carried:
+            joiners = frozenset(
+                user_id
+                for user_id, profile in upserted.items()
+                if label in profile
+                and group.bucket.contains(profile.score(label))
+            )
+        if not joiners and touched.isdisjoint(group.members):
+            updated.add(group)
+            continue
         updated.add(
-            Group(group.key, frozenset(members), group.bucket, group.label)
+            Group(
+                group.key,
+                (group.members - touched) | joiners,
+                group.bucket,
+                group.label,
+            )
         )
     return updated
 
@@ -173,6 +196,41 @@ def rebuild_instance(
         budget=budget,
         population_size=population,
     )
+
+
+def refresh_instances(
+    previous: Mapping[int, DiversificationInstance],
+    groups: GroupSet,
+    repository: UserRepository,
+    delta: ProfileDelta,
+    weight_scheme: WeightScheme | None = None,
+    coverage_scheme: CoverageScheme | None = None,
+) -> dict[int, DiversificationInstance]:
+    """Rebuild one group set's instances after a delta, patching the index.
+
+    ``previous`` maps budgets to the instances over the group set that
+    ``groups`` was reassigned from.  Every budget gets a fresh instance
+    from :func:`rebuild_instance`.  The sparse index is spliced once per
+    group set: the first cached index is patched with the delta's
+    touched users (:meth:`~repro.core.index.InstanceIndex.patched`) and
+    the other budgets reweight the same membership arrays.  When no
+    previous instance holds a current index, none is attached and the
+    first selection pays a cold build.
+    """
+    source = next(filter(None, map(cached_index, previous.values())), None)
+    patched = None
+    refreshed: dict[int, DiversificationInstance] = {}
+    for budget in previous:
+        instance = rebuild_instance(
+            groups, repository, budget, weight_scheme, coverage_scheme
+        )
+        if patched is not None:
+            attach_index(instance, patched.reweighted(instance))
+        elif source is not None:
+            patched = source.patched(groups, delta.touched, instance)
+            attach_index(instance, patched)
+        refreshed[budget] = instance
+    return refreshed
 
 
 @dataclass
@@ -231,13 +289,14 @@ class IncrementalPodium:
         if self._rebucket_due():
             self.rebucket(self.grouping)
             return
-        self.instance = rebuild_instance(
+        self.instance = refresh_instances(
+            {self.budget: self.instance},
             self.groups,
             self.repository,
-            self.budget,
+            delta,
             self.weight_scheme,
             self.coverage_scheme,
-        )
+        )[self.budget]
 
     def _rebucket_due(self) -> bool:
         if self.rebucket_threshold is None:

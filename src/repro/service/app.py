@@ -92,7 +92,12 @@ from ..core.errors import (
 from ..core.explanations import explain_selection
 from ..core.greedy import SelectionResult, greedy_select, select_from_index
 from ..core.groups import GroupKey, GroupSet, build_simple_groups
-from ..core.index import InstanceIndex, attach_index, instance_index
+from ..core.index import (
+    InstanceIndex,
+    attach_index,
+    cached_index,
+    instance_index,
+)
 from ..core.instance import DiversificationInstance
 from ..core.profiles import UserProfile, UserRepository
 from ..core.updates import (
@@ -100,6 +105,7 @@ from ..core.updates import (
     apply_delta_to_repository,
     reassign_groups,
     rebuild_instance,
+    refresh_instances,
 )
 from ..core.persistence import index_source_path
 from ..storage import (
@@ -412,7 +418,12 @@ class PodiumService:
             return response
 
     def _apply_delta_locked(self, delta: ProfileDelta) -> dict[str, Any]:
-        """Apply a delta to the repository + caches (write lock held)."""
+        """Apply a delta to the repository + caches (write lock held).
+
+        Each cached configuration reassigns its frozen buckets and
+        patches its cached index once (:func:`refresh_instances`); no
+        index is re-encoded.
+        """
         repository = apply_delta_to_repository(self._repository, delta)
         self._repository = repository
         self._generation += 1
@@ -432,19 +443,19 @@ class PodiumService:
                 continue
             groups = reassign_groups(entry.groups, repository, delta)
             weight, coverage = entry.config.schemes()
-            instances: dict[int, DiversificationInstance] = {}
-            for budget in entry.instances:
-                instance = rebuild_instance(
-                    groups, repository, budget, weight, coverage
-                )
-                instance_index(instance)
-                instances[budget] = instance
             self._cache[name] = _ConfigArtifacts(
                 config=current,
                 generation=self._generation,
                 groups=groups,
                 groups_version=groups.version,
-                instances=instances,
+                instances=refresh_instances(
+                    entry.instances,
+                    groups,
+                    repository,
+                    delta,
+                    weight,
+                    coverage,
+                ),
             )
             refreshed.append(name)
         # Repair maintained selections against the refreshed indexes
@@ -826,8 +837,17 @@ class PodiumService:
                     weight,
                     coverage,
                 )
-                # Pre-warm the sparse index so no request pays the encode.
-                instance_index(instance)
+                # Pre-warm the sparse index so no request pays the
+                # encode; a sibling budget's index lends its membership
+                # arrays, so only the first budget encodes.
+                sibling = next(
+                    filter(None, map(cached_index, entry.instances.values())),
+                    None,
+                )
+                if sibling is not None:
+                    attach_index(instance, sibling.reweighted(instance))
+                else:
+                    instance_index(instance)
             entry.instances[budget] = instance
             return instance
 
@@ -847,6 +867,7 @@ class PodiumService:
                 )
             # Users outside every group (or non-int64 weights) need the
             # repository-wide pool; matrix falls back exactly as needed.
+            self.metrics.observe_fallback()
             return greedy_select(
                 repository, instance, budget, method="matrix"
             )
@@ -933,14 +954,16 @@ class PodiumService:
         timer: StageTimer,
     ) -> tuple[SelectionResult, dict[str, Any]]:
         """Run the constrained solver; returns (result, report section)."""
-        repository = self._repository_or_raise()
         with timer.stage("selection"):
             index: InstanceIndex = instance_index(instance)
-            if not index.vectorizable or index.n_users != len(repository):
+            # Users in no group are simply never candidates: the fair
+            # and clustered solvers (and their oracles) draw from the
+            # grouped users only.
+            if not index.vectorizable:
                 raise ServiceError(
-                    "constrained selection requires a vectorizable "
-                    "instance covering every user; this configuration's "
-                    "weights do not fit the sparse index"
+                    "constrained selection requires int64-representable "
+                    "weights; this configuration's weights do not fit "
+                    "the sparse index"
                 )
             partition = None
             if spec.clusters is not None:

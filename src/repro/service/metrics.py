@@ -8,6 +8,9 @@ object:
   ``"METHOD /path"``;
 * **cache counters** — hits/misses of the per-configuration
   ``(GroupSet, instance, index)`` artifact cache;
+* **selection fallbacks** — plain selections the sparse index could not
+  serve (a user in no group, or weights beyond int64), answered by the
+  repository-wide greedy instead;
 * **stage timings** — cumulative/max seconds per pipeline stage
   (``grouping``, ``instance``, ``selection``, ``explanation``), so a slow
   layer is visible without a profiler.
@@ -86,6 +89,7 @@ class ServiceMetrics:
             "violated": 0,
             "infeasible": 0,
         }
+        self._fallbacks = 0
         self._started = time.time()
 
     # -- observation -------------------------------------------------------
@@ -150,6 +154,17 @@ class ServiceMetrics:
                 self._constraints["satisfied"] += 1
             else:
                 self._constraints["violated"] += 1
+
+    def observe_fallback(self) -> None:
+        """Record a plain selection routed to ``greedy_select``.
+
+        The index path serves a plain ``/select`` only when every user
+        sits in some group and the weights are int64-representable;
+        otherwise the service falls back to the repository-wide greedy,
+        and this counter makes each fallback visible.
+        """
+        with self._lock:
+            self._fallbacks += 1
 
     def observe_cache(self, hit: bool) -> None:
         """Record an artifact-cache lookup outcome."""
@@ -230,6 +245,7 @@ class ServiceMetrics:
                     "wal_seconds": round(self._ingest["wal_seconds"], 6),
                 },
                 "constraints": dict(self._constraints),
+                "selection": {"fallback": self._fallbacks},
                 "stages": stages,
             }
 
@@ -247,6 +263,7 @@ WORKER_COUNTER_FIELDS = (
     "cache_misses",
     "syncs",
     "sync_failures",
+    "selection_fallbacks",
 )
 
 

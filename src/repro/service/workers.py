@@ -489,6 +489,10 @@ class _SharedSlotMetrics(ServiceMetrics):
         super().observe_cache(hit)
         self._bump("cache_hits" if hit else "cache_misses")
 
+    def observe_fallback(self) -> None:
+        super().observe_fallback()
+        self._bump("selection_fallbacks")
+
 
 class WorkerRuntime:
     """One worker's view of the pool: freshness, forwarding, cluster RPC.

@@ -174,6 +174,9 @@ def select_response(source) -> dict | None:
     if isinstance(source, DurableRepositoryStore):
         if not len(source.repository):
             return None
+        for artifact in source.artifacts.values():
+            if artifact.index is not None:
+                artifact.index.validate()
         service = PodiumService(store=source)
         service.restore_artifacts()
     else:

@@ -91,7 +91,9 @@ class TestShimRouting:
         artifact = _artifact(repo)
         path = tmp_path / "index.npz"
         save_index_npz(artifact.index, path, fs=CrashFS(FaultPlan()))
-        assert _same_index(load_index_npz(path), artifact.index)
+        loaded = load_index_npz(path)
+        loaded.validate()
+        assert _same_index(loaded, artifact.index)
 
     def test_injected_enospc_surfaces_as_oserror(self, tmp_path):
         repo = base_repository()
@@ -152,6 +154,7 @@ class TestIndexSnapshotCrashSweep:
             state = load_snapshot(current)  # must never raise on a torn file
             recovered = state.artifacts.get("default")
             if recovered is not None and recovered.index is not None:
+                recovered.index.validate()
                 assert _same_index(recovered.index, artifact.index), (
                     f"crash at op {crash_at}: served index differs from "
                     f"the staged one"

@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.index import instance_index
 from repro.datasets import example_repository, profiles_to_dict
 from repro.service import (
     DiversificationConfiguration,
@@ -568,6 +569,7 @@ class TestDurableStore:
         _, got = make_client(restarted)(
             "POST", "/select", {"configuration": "two"}
         )
+        instance_index(restarted.instance_for("two")).validate()
         assert got["selected"] == want["selected"]
         assert got["score"] == want["score"]
         reopened.close()
@@ -603,6 +605,7 @@ class TestDurableStore:
         )
         restarted = boot(reopened)
         assert restarted.restore_artifacts() == ["two"]
+        reopened.artifacts["two"].index.validate()
         status, body = make_client(restarted)("GET", "/metrics")
         assert status == 200
         expected_stage = (

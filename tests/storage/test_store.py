@@ -169,6 +169,7 @@ class TestArtifacts:
         restored = reopened.artifacts["cfg"]
         assert restored.config == {"budget": BUDGET}
         assert restored.index is not None
+        restored.index.validate()
         got = select_from_index(restored.index, BUDGET, method="matrix")
         assert got.selected == want.selected
         assert got.score == want.score
@@ -220,6 +221,7 @@ class TestMappedArtifacts:
         stats = reopened.stats()
         assert stats["mmap_indexes"] is True
         assert stats["mapped_artifact_indexes"] == 1
+        restored.index.validate()
         got = select_from_index(restored.index, BUDGET, method="matrix")
         assert got.selected == want.selected
         assert got.score == want.score
@@ -254,6 +256,7 @@ class TestMappedArtifacts:
         assert restored.index is not None
         assert index_source_path(restored.index) is None  # eager fallback
         assert reopened.stats()["mapped_artifact_indexes"] == 0
+        restored.index.validate()
         got = select_from_index(restored.index, BUDGET, method="matrix")
         assert got.selected == want.selected
         assert got.score == want.score
