@@ -189,7 +189,7 @@ def compare_distributions(
     buckets = sorted(
         buckets, key=lambda g: (g.bucket.lo if g.bucket else 0.0, g.label)
     )
-    pop_weights = [float(instance.wei[g.key]) for g in buckets]
+    pop_weights = [instance.wei[g.key] for g in buckets]
     sub_weights = [float(len(g.members & selected_set)) for g in buckets]
     pop_total = sum(pop_weights) or 1.0
     sub_total = sum(sub_weights) or 1.0
@@ -404,7 +404,7 @@ def explain_selection_index(
             groups.buckets_of_property(property_label),
             key=lambda g: (g.bucket.lo if g.bucket else 0.0, g.label),
         )
-        pop_weights = [float(wei[g.key]) for g in buckets]
+        pop_weights = [wei[g.key] for g in buckets]
         sub_weights = [
             float(int(hits[idx.group_pos[g.key]])) for g in buckets
         ]

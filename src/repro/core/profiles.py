@@ -36,6 +36,10 @@ def _validate_score(label: str, score: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _as_set(labels: Iterable[str]) -> set[str] | frozenset[str]:
+    return labels if isinstance(labels, (set, frozenset)) else set(labels)
+
+
 @dataclass(frozen=True)
 class UserProfile:
     """Immutable profile ``D_u = <P_u, S_u>`` of a single user.
@@ -58,6 +62,14 @@ class UserProfile:
             for label, score in dict(self.scores).items()
         }
         object.__setattr__(self, "scores", frozen)
+
+    @classmethod
+    def _trusted(cls, user_id: str, scores: dict[str, float]) -> "UserProfile":
+        """Wrap ``scores`` already validated by another profile, as is."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "user_id", user_id)
+        object.__setattr__(profile, "scores", scores)
+        return profile
 
     @property
     def properties(self) -> frozenset[str]:
@@ -89,16 +101,19 @@ class UserProfile:
 
     def without(self, labels: Iterable[str]) -> "UserProfile":
         """Return a copy with every property in ``labels`` removed."""
-        drop = set(labels)
-        return UserProfile(
+        drop = _as_set(labels)
+        return UserProfile._trusted(
             self.user_id,
             {p: s for p, s in self.scores.items() if p not in drop},
         )
 
     def restricted_to(self, labels: Iterable[str]) -> "UserProfile":
-        """Return a copy keeping only the properties in ``labels``."""
-        keep = set(labels)
-        return UserProfile(
+        """Return a copy keeping only the properties in ``labels``.
+
+        Score order is kept; pass a set to share it across profiles.
+        """
+        keep = _as_set(labels)
+        return UserProfile._trusted(
             self.user_id,
             {p: s for p, s in self.scores.items() if p in keep},
         )

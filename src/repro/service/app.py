@@ -120,7 +120,7 @@ from .config import (
     default_configuration,
 )
 from .metrics import ServiceMetrics, StageTimer, request_log_record
-from .viz import explanation_payload
+from .viz import explanation_payload, json_number
 
 logger = logging.getLogger("repro.service")
 
@@ -789,13 +789,14 @@ class PodiumService:
             repository = self._repository_or_raise()
             with timer.stage("grouping"):
                 if config.property_prefixes is not None:
-                    repository = UserRepository(
-                        profile.restricted_to(
-                            label
-                            for label in profile.properties
-                            if config.matches_property(label)
+                    keep = set(
+                        filter(
+                            config.matches_property,
+                            repository.property_labels,
                         )
-                        for profile in repository
+                    )
+                    repository = UserRepository(
+                        profile.restricted_to(keep) for profile in repository
                     )
                 groups = build_simple_groups(
                     repository, config.grouping_config()
@@ -1030,7 +1031,7 @@ class PodiumService:
                 return {
                     "configuration": config_name,
                     "selected": list(maintainer.selection),
-                    "score": float(maintainer.score()),
+                    "score": json_number(maintainer.score()),
                     "maintained": True,
                     "maintainer": maintainer.stats(),
                 }
@@ -1042,7 +1043,7 @@ class PodiumService:
             response = {
                 "configuration": config_name,
                 "selected": list(result.selected),
-                "score": float(result.score),
+                "score": json_number(result.score),
                 "constraints": report,
             }
         elif feedback is None or feedback == CustomizationFeedback.none():
@@ -1050,7 +1051,7 @@ class PodiumService:
             response: dict[str, Any] = {
                 "configuration": config_name,
                 "selected": list(result.selected),
-                "score": float(result.score),
+                "score": json_number(result.score),
             }
         else:
             with timer.stage("selection"):
@@ -1065,9 +1066,9 @@ class PodiumService:
             response = {
                 "configuration": config_name,
                 "selected": list(custom.selected),
-                "score": float(result.score),
-                "priority_score": float(custom.priority_score),
-                "standard_score": float(custom.standard_score),
+                "score": json_number(result.score),
+                "priority_score": json_number(custom.priority_score),
+                "standard_score": json_number(custom.standard_score),
                 "refined_pool_size": custom.refined_pool_size,
             }
         if explain:
@@ -1097,7 +1098,7 @@ class PodiumService:
             heaviest: list[str] = []
             for key in sorted(
                 instance.groups.keys,
-                key=lambda k: (-float(instance.wei[k]), str(k)),
+                key=lambda k: (-instance.wei[k], str(k)),
             ):
                 if key.property_label not in heaviest:
                     heaviest.append(key.property_label)
@@ -1125,14 +1126,14 @@ class PodiumService:
             )
         ordered = sorted(
             instance.groups,
-            key=lambda g: (-float(instance.wei[g.key]), str(g.key)),
+            key=lambda g: (-instance.wei[g.key], str(g.key)),
         )
         return [
             {
                 "property": g.key.property_label,
                 "bucket": g.key.bucket_label,
                 "label": g.label,
-                "weight": float(instance.wei[g.key]),
+                "weight": json_number(instance.wei[g.key]),
                 "coverage": instance.cov[g.key],
                 "size": g.size,
             }

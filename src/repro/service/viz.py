@@ -17,6 +17,28 @@ from typing import Any
 
 from ..core.explanations import SelectionExplanation
 from ..core.greedy import SelectionResult
+from ..core.weights import Weight
+
+
+def json_number(value: Weight) -> float | int:
+    """``float(value)``, or the exact ``int`` when it outgrows a float.
+
+    EBS weights are ``(B+1)^ord(G)``: past about 323 groups at B=8 they
+    and the scores summing them overflow a float.  JSON carries big ints
+    exactly, so every other scheme's body stays as it was.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return int(value)
+
+
+def format_total(value: Weight) -> str:
+    """A score with thousands separators, exact when it outgrows a float."""
+    number = json_number(value)
+    if isinstance(number, int):
+        return f"{number:,}"
+    return f"{number:,.0f}"
 
 
 def explanation_payload(
@@ -29,7 +51,7 @@ def explanation_payload(
         {
             "user": ue.user_id,
             "top_groups": [
-                {"label": g.label, "weight": float(g.weight)}
+                {"label": g.label, "weight": json_number(g.weight)}
                 for g in ue.top(per_user_top)
             ],
             "group_count": len(ue.groups),
@@ -103,7 +125,7 @@ def render_html(
         "</style></head><body>",
         f"<h1>{escape(title)}</h1>",
         f"<p>Selected <b>{len(result.selected)}</b> users, "
-        f"total score <b>{float(result.score):,.0f}</b>.</p>",
+        f"total score <b>{format_total(result.score)}</b>.</p>",
         "<div class='panes'>",
     ]
 
@@ -165,7 +187,7 @@ def render_text(
     lines.append("=" * 72)
     lines.append(
         f"Selected {len(result.selected)} users, total score "
-        f"{float(result.score):,.0f}"
+        f"{format_total(result.score)}"
     )
     lines.append("=" * 72)
 

@@ -617,3 +617,92 @@ class TestDurableStore:
             1 if mmap_indexes else 0
         )
         reopened.close()
+
+
+class TestBigIntScores:
+    """EBS weights ``(B+1)^ord(G)`` outgrow a float past ~323 groups at
+    B=8; scores and weights then travel as exact JSON ints, not a 500."""
+
+    @pytest.fixture(scope="class")
+    def ebs(self):
+        from repro.datasets.synth import generate_profile_repository
+
+        repository = generate_profile_repository(
+            n_users=300, n_properties=150, mean_profile_size=30.0, seed=3
+        )
+        svc = PodiumService(repository)
+        svc.configurations.put(
+            DiversificationConfiguration(
+                name="ebs", weight_scheme="EBS", budget=8
+            )
+        )
+        svc.configurations.put(
+            DiversificationConfiguration(name="lbs", budget=8)
+        )
+        return svc, make_client(svc)
+
+    def _instance(self, svc, name):
+        from repro.core import build_instance
+
+        config = svc.configurations.get(name)
+        weight, coverage = config.schemes()
+        return build_instance(
+            svc.repository,
+            8,
+            weight_scheme=weight,
+            coverage_scheme=coverage,
+            grouping=config.grouping_config(),
+        )
+
+    @pytest.mark.parametrize("explain", (False, True))
+    def test_select_answers_exact_int_score(self, ebs, explain):
+        from repro.core import subset_score
+
+        svc, call = ebs
+        instance = self._instance(svc, "ebs")
+        assert len(instance.groups) > 323
+        status, body = call(
+            "POST", "/select", {"configuration": "ebs", "explain": explain}
+        )
+        assert status == 200, body
+        assert isinstance(body["score"], int)
+        assert body["score"] > 1e308
+        assert body["score"] == subset_score(instance, body["selected"])
+        assert ("explanation" in body) is explain
+        if explain:
+            exact = {g.label: instance.wei[g.key] for g in instance.groups}
+            shown = [
+                group
+                for user in body["explanation"]["left_pane"]
+                for group in user["top_groups"]
+            ]
+            assert any(isinstance(g["weight"], int) for g in shown)
+            for group in shown:
+                assert group["weight"] == exact[group["label"]]
+
+    def test_groups_and_page_render_big_weights(self, ebs):
+        _, call = ebs
+        status, groups = call("GET", "/groups", query="configuration=ebs")
+        assert status == 200
+        assert isinstance(groups[0]["weight"], int)
+        assert [g["weight"] for g in groups] == sorted(
+            (g["weight"] for g in groups), reverse=True
+        )
+        status, page = call(
+            "GET", "/explain.html", query="configuration=ebs"
+        )
+        assert status == 200
+        assert b"total score <b>" in page
+
+    def test_float_range_scores_stay_floats(self, ebs):
+        _, call = ebs
+        status, body = call(
+            "POST", "/select", {"configuration": "lbs", "explain": True}
+        )
+        assert status == 200
+        assert isinstance(body["score"], float)
+        assert all(
+            isinstance(group["weight"], float)
+            for user in body["explanation"]["left_pane"]
+            for group in user["top_groups"]
+        )
