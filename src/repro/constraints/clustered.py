@@ -14,18 +14,17 @@ starved.  The pipeline here:
    largest-remainder proportional apportionment (the same
    :func:`~repro.baselines.stratified.proportional_apportionment` the
    stratified baseline uses), capped at cluster size.
-3. **solve per cluster** — coverage greedy on an
-   :meth:`InstanceIndex.take_rows` sub-index.  Because ``take_rows``
-   keeps groups whole, sub-index gains equal parent gains, so the
-   per-cluster solve is exactly the parent greedy restricted to the
-   cluster — and it recurses through
-   :func:`~repro.core.greedy.select_from_index`, so the
-   matrix/sharded/stochastic backends all compose with cluster mode.
+3. **solve per cluster** — the requested array backend
+   (matrix/sharded/stochastic) with the cluster's rows as the greedy
+   kernel's candidate slots on the parent index: exactly the parent
+   greedy restricted to the cluster, with no sub-index built.
    Trailing zero-gain picks are trimmed: a cluster whose coverage value
    is exhausted hands its remaining seats back as slack.
 4. **repair** — slack seats are reassigned globally by marginal gain
    conditioned on everything already selected, so no budget is wasted
    on zero-value picks while another cluster still has value left.
+   The repair round is :func:`~repro.core.greedy.greedy_kernel` started
+   from the coverage the cluster picks left (its ``remaining``).
 
 With a single cluster the pipeline degenerates to plain matrix greedy:
 the solve is the whole pool, and the trimmed zero-gain tail is re-picked
@@ -40,7 +39,8 @@ import numpy as np
 
 from ..baselines.clustering import kmeans
 from ..baselines.stratified import proportional_apportionment
-from ..core.index import InstanceIndex, _segment_sums
+from ..core.greedy import _select_slots, greedy_kernel
+from ..core.index import InstanceIndex
 from ..core.instance import DiversificationInstance
 from ..core.scoring import CoverageState
 from ..core.weights import Weight
@@ -140,61 +140,6 @@ def _trim_zero_tail(
     return rows[:keep], gains[:keep]
 
 
-def _conditioned_rows_loop(
-    index: InstanceIndex,
-    rows: np.ndarray,
-    budget: int,
-    remaining: np.ndarray,
-) -> tuple[list[int], list[int], int]:
-    """Greedy over ``rows`` conditioned on pre-consumed group coverage.
-
-    The repair round's engine: ``remaining`` carries each group's
-    leftover coverage requirement after the per-cluster picks, so every
-    gain here is the true marginal gain relative to the combined
-    selection.  Same recurrence and tie-break as
-    :func:`~repro.core.greedy._rows_loop`.
-    """
-    assert index.wei is not None
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.size
-    effective = np.where(remaining > 0, index.wei, 0).astype(np.int64)
-    gain = _segment_sums(effective[index.u_indices], index.u_indptr)[rows]
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[rows] = np.arange(n, dtype=np.int64)
-    remaining = np.array(remaining, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    gains: list[int] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        masked = np.where(active, gain, np.int64(-1))
-        row = int(np.argmax(masked))
-        realized = int(masked[row])
-        active[row] = False
-        picked.append(int(rows[row]))
-        gains.append(realized)
-        score += realized
-        touched = np.asarray(
-            index.groups_of_row(int(rows[row])), dtype=np.int64
-        )
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            candidate = dense_to_row[members]
-            keep = candidate >= 0
-            np.subtract.at(gain, candidate[keep], weights[keep])
-    return picked, gains, score
-
-
 def _row_hits(index: InstanceIndex, rows: list[int]) -> np.ndarray:
     """``|S ∩ G|`` per group for a dense-row selection."""
     if not rows:
@@ -234,8 +179,6 @@ def clustered_select_rows(
     ``partition`` lets callers supply a precomputed (cached) partition;
     it must come from :func:`partition_rows` on the same index.
     """
-    from ..core.greedy import select_from_index
-
     assert index.wei is not None
     if partition is None:
         partition = partition_rows(index, cluster_spec)
@@ -262,20 +205,12 @@ def clustered_select_rows(
                 ClusterSolve(label, int(cluster.size), 0, (), ())
             )
             continue
-        sub = index.take_rows(cluster)
-        result = select_from_index(
-            sub,
-            share,
-            method=method,
-            shards=shards,
-            jobs=jobs,
-            shard_seed=shard_seed,
-            epsilon=epsilon,
-            sample_ratio=sample_ratio,
+        positions, cluster_gains, _ = _select_slots(
+            index, cluster, share, method, None,
+            shards, jobs, shard_seed, epsilon, sample_ratio,
         )
-        solve_rows = [index.user_pos[u] for u in result.selected]
         solve_rows, solve_gains = _trim_zero_tail(
-            solve_rows, [int(g) for g in result.gains]
+            [int(cluster[p]) for p in positions], cluster_gains
         )
         solves.append(
             ClusterSolve(
@@ -292,16 +227,17 @@ def clustered_select_rows(
     repair: list[int] = []
     slack = budget - len(picked)
     if slack > 0:
-        taken = set(picked)
-        leftover = np.asarray(
-            [r for r in pool.tolist() if r not in taken], dtype=np.int64
-        )
+        leftover = pool[~np.isin(pool, picked)]
         if leftover.size:
+            # Conditioned on the cluster picks: the kernel starts from
+            # the coverage they left, so every repair gain is the true
+            # marginal gain relative to the combined selection.
             hits = _row_hits(index, picked)
             remaining = np.maximum(index.cov - hits, 0)
-            repair, repair_gains, _ = _conditioned_rows_loop(
-                index, leftover, slack, remaining
+            positions, repair_gains, _ = greedy_kernel(
+                index, leftover, slack, remaining=remaining
             )
+            repair = [int(leftover[p]) for p in positions]
             picked.extend(repair)
             gains.extend(repair_gains)
 

@@ -29,10 +29,14 @@ feasibility, diagnosed — never silent).  When every floor is met and no
 candidate remains feasible (e.g. ceilings sum below the budget), the
 solver stops early like an exhausted pool.
 
-Every array decision mirrors :func:`repro.core.greedy._rows_loop`
-(int64 gain vector, masked argmax with the first-max = minimal-user-id
-tie-break, ``np.subtract.at`` exhausted-group propagation), so the
-pure-Python oracle :func:`fair_select_oracle` matches it pick for pick.
+The solver is :func:`repro.core.greedy.greedy_kernel` with a fair
+eligibility hook (:class:`_FairPolicy`): the kernel keeps the int64 gain
+vector, the argmax with the first-max = minimal-user-id tie-break and
+the ``np.subtract.at`` exhausted-group propagation; the hook adds the
+floor reserve mask, retires the members of every group whose ceiling
+the pick fills (ceiling-0 groups up front) and counts the picks per
+group for the infeasibility diagnosis.  The pure-Python oracle
+:func:`fair_select_oracle` matches it pick for pick.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import InfeasibleConstraintError
+from ..core.greedy import greedy_kernel
 from ..core.groups import GroupKey
 from ..core.index import InstanceIndex
 from ..core.instance import DiversificationInstance
@@ -49,20 +54,18 @@ from .feasibility import eligibility_mask, keys_by_property
 from .spec import ConstraintSpec
 
 
-class _FairArrays:
-    """Dense-id view of a spec's floors/ceilings against one index."""
+class _FairPolicy:
+    """Fair eligibility hook for :func:`~repro.core.greedy.greedy_kernel`.
 
-    __slots__ = (
-        "floor_gids",
-        "floor_req",
-        "floor_prop",
-        "n_props",
-        "ceil_gids",
-        "ceil_req",
-        "ceil_limit",
-    )
+    A dense-id view of a spec's floors/ceilings against one index, plus
+    the per-group pick counts the floor reserve and the ceilings read.
+    """
 
-    def __init__(self, index: InstanceIndex, spec: ConstraintSpec) -> None:
+    def __init__(
+        self, index: InstanceIndex, spec: ConstraintSpec, budget: int
+    ) -> None:
+        self.index = index
+        self.budget = budget
         floors = spec.floors
         self.floor_gids = np.fromiter(
             (index.group_pos[k] for k, _c in floors),
@@ -81,18 +84,58 @@ class _FairArrays:
         )
         self.n_props = len(properties)
         ceilings = spec.ceilings
-        self.ceil_gids = np.fromiter(
+        ceil_gids = np.fromiter(
             (index.group_pos[k] for k, _c in ceilings),
             dtype=np.int64,
             count=len(ceilings),
         )
-        self.ceil_req = np.fromiter(
+        ceil_req = np.fromiter(
             (c for _k, c in ceilings), dtype=np.int64, count=len(ceilings)
         )
         # Per-group ceiling lookup; unconstrained groups get a limit no
         # selection can reach.
         self.ceil_limit = np.full(index.n_groups, np.iinfo(np.int64).max)
-        self.ceil_limit[self.ceil_gids] = self.ceil_req
+        self.ceil_limit[ceil_gids] = ceil_req
+        self.counts = np.zeros(index.n_groups, dtype=np.int64)
+        # Ceiling-0 groups are plain exclusions — the shared eligibility
+        # helper customization's must-not rule also runs on.
+        zero_keys = [index.group_keys[int(g)] for g in ceil_gids[ceil_req == 0]]
+        self.retired = (
+            np.flatnonzero(~eligibility_mask(index, forbidden=zero_keys))
+            if zero_keys
+            else np.empty(0, dtype=np.int64)
+        )
+
+    def deficit(self) -> np.ndarray:
+        """Unmet part of every floor."""
+        return np.maximum(self.floor_req - self.counts[self.floor_gids], 0)
+
+    def feasible(self, step: int, n: int, slot_of) -> np.ndarray | None:
+        """Floor reserve: the slots a tight property still admits."""
+        if not self.n_props:
+            return None
+        floor_def = self.deficit()
+        prop_def = np.bincount(
+            self.floor_prop, weights=floor_def, minlength=self.n_props
+        ).astype(np.int64)
+        slots_after = self.budget - step - 1
+        tight = np.flatnonzero(prop_def > slots_after)
+        if not tight.size:
+            return None
+        feasible = np.ones(n, dtype=bool)
+        for p in tight:
+            unmet = self.floor_gids[(self.floor_prop == p) & (floor_def > 0)]
+            reduction = np.zeros(n, dtype=np.int64)
+            member_slots = slot_of(self.index.members_of_rows(unmet))
+            np.add.at(reduction, member_slots[member_slots >= 0], 1)
+            feasible &= reduction >= (int(prop_def[p]) - slots_after)
+        return feasible
+
+    def picked(self, touched: np.ndarray) -> np.ndarray:
+        """Count the pick; the members of groups it fills are retired."""
+        self.counts[touched] += 1
+        newly_full = touched[self.counts[touched] == self.ceil_limit[touched]]
+        return self.index.members_of_rows(newly_full)
 
 
 def diagnose_floors(
@@ -139,11 +182,11 @@ def diagnose_floors(
 
 
 def _infeasible_deficit(
-    index: InstanceIndex, fa: _FairArrays, floor_def: np.ndarray
+    policy: _FairPolicy, floor_def: np.ndarray
 ) -> InfeasibleConstraintError:
     """Name the unmet floor with the largest remaining deficit."""
     worst = int(np.argmax(floor_def))
-    key = index.group_keys[int(fa.floor_gids[worst])]
+    key = policy.index.group_keys[int(policy.floor_gids[worst])]
     return InfeasibleConstraintError(
         f"no feasible candidate remains while floor for group {key} is "
         f"short by {int(floor_def[worst])} member(s); relax the floors, "
@@ -162,8 +205,8 @@ def fair_select_rows(
 ) -> tuple[list[int], list[Weight], int]:
     """Fair greedy over dense rows; returns ``(rows, gains, score)``.
 
-    The constrained twin of :func:`repro.core.greedy._rows_loop`: same
-    recurrence, same tie-break, with the per-pick argmax restricted to
+    :func:`~repro.core.greedy.greedy_kernel` under the fair hook: the
+    plain recurrence and tie-break, with each pick restricted to
     feasible candidates.  ``rows`` defaults to every row and must be
     strictly ascending.  ``sample_size`` restricts each step to a
     uniform sample of the *feasible* candidates (stochastic greedy over
@@ -171,112 +214,26 @@ def fair_select_rows(
     exact argmax, so ``sample_ratio=1.0`` reproduces the deterministic
     fair selections for any ``sample_rng``.
     """
-    assert index.wei is not None and index.initial_gains is not None
-    if rows is None:
-        rows = np.arange(index.n_users, dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-    fa = _FairArrays(index, spec)
+    slots = (
+        range(index.n_users)
+        if rows is None
+        else np.asarray(rows, dtype=np.int64)
+    )
+    policy = _FairPolicy(index, spec, budget)
     diagnose_floors(index, spec, budget, rows)
-    n = rows.size
-    gain = np.asarray(index.initial_gains[rows]).astype(np.int64)
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[rows] = np.arange(n, dtype=np.int64)
-    remaining = np.array(index.cov, dtype=np.int64)
-    counts = np.zeros(index.n_groups, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    # Ceiling-0 groups are plain exclusions — the shared eligibility
-    # helper customization's must-not rule also runs on.
-    zero_keys = [
-        index.group_keys[int(g)]
-        for g in fa.ceil_gids[fa.ceil_req == 0]
-    ]
-    if zero_keys:
-        eligible = eligibility_mask(index, forbidden=zero_keys)
-        active &= eligible[rows]
-    picked: list[int] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        floor_def = np.maximum(fa.floor_req - counts[fa.floor_gids], 0)
-        feasible = active
-        if fa.n_props:
-            prop_def = np.bincount(
-                fa.floor_prop, weights=floor_def, minlength=fa.n_props
-            ).astype(np.int64)
-            slots_after = budget - len(picked) - 1
-            tight = np.flatnonzero(prop_def > slots_after)
-            if tight.size:
-                feasible = feasible.copy()
-                for p in tight:
-                    unmet = fa.floor_gids[
-                        (fa.floor_prop == p) & (floor_def > 0)
-                    ]
-                    reduction = np.zeros(n, dtype=np.int64)
-                    member_rows = dense_to_row[index.members_of_rows(unmet)]
-                    member_rows = member_rows[member_rows >= 0]
-                    np.add.at(reduction, member_rows, 1)
-                    feasible &= reduction >= (
-                        int(prop_def[p]) - slots_after
-                    )
-        if not feasible.any():
-            if int(floor_def.sum()) > 0:
-                raise _infeasible_deficit(index, fa, floor_def)
-            break  # every floor met, no pick allowed: stop early
-        if sample_size is not None:
-            candidates = np.flatnonzero(feasible)
-            if sample_size < candidates.size:
-                assert sample_rng is not None
-                pick = sample_rng.choice(
-                    candidates.size, size=sample_size, replace=False
-                )
-                # Sorted sample keeps argmax ties on the minimal user id.
-                candidates = candidates[np.sort(pick)]
-            row = int(candidates[int(np.argmax(gain[candidates]))])
-            realized = int(gain[row])
-        elif rng is None:
-            masked = np.where(feasible, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(feasible, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        dense = int(rows[row])
-        picked.append(dense)
-        gains.append(realized)
-        score += realized
-
-        touched = np.asarray(index.groups_of_row(dense), dtype=np.int64)
-        counts[touched] += 1
-        newly_full = touched[counts[touched] == fa.ceil_limit[touched]]
-        if newly_full.size:
-            blocked = dense_to_row[index.members_of_rows(newly_full)]
-            blocked = blocked[blocked >= 0]
-            active[blocked] = False
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            candidate = dense_to_row[members]
-            keep = candidate >= 0
-            np.subtract.at(gain, candidate[keep], weights[keep])
-
-    floor_def = np.maximum(fa.floor_req - counts[fa.floor_gids], 0)
+    picked, gains, score = greedy_kernel(
+        index, slots, budget, rng,
+        sample_size=sample_size, sample_rng=sample_rng, hook=policy,
+    )
+    floor_def = policy.deficit()
     if int(floor_def.sum()) > 0:
-        # Budget exhausted with floors unmet can only happen through a
+        # No feasible candidate left, or the budget exhausted through a
         # reserve-accounting gap (overlapping floor groups inside one
-        # property); diagnose rather than return a violating selection.
-        raise _infeasible_deficit(index, fa, floor_def)
-    return picked, gains, score
+        # property), with floors unmet: diagnose rather than return a
+        # violating selection.  Met floors with nothing feasible left
+        # (e.g. ceilings summing below the budget) stop early instead.
+        raise _infeasible_deficit(policy, floor_def)
+    return [int(slots[p]) for p in picked], gains, score
 
 
 def fair_select_oracle(

@@ -17,7 +17,12 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import InvalidBudgetError, PodiumError
-from ..core.greedy import SelectionResult, _rows_loop, _stochastic_sample_size
+from ..core.greedy import (
+    SelectionResult,
+    _stochastic_sample_size,
+    greedi,
+    permuted_parts,
+)
 from ..core.groups import GroupKey
 from ..core.index import InstanceIndex
 from .clustered import (
@@ -141,39 +146,20 @@ def _candidate_rows(
     return np.asarray(rows, dtype=np.int64)
 
 
-def _fair_union_rows(
-    index: InstanceIndex,
-    spec: ConstraintSpec,
-    budget: int,
-    rows: np.ndarray,
-    shards: int,
-    shard_seed: int,
+def _floor_candidates(
+    index: InstanceIndex, spec: ConstraintSpec, pool: np.ndarray
 ) -> np.ndarray:
-    """GreeDi-style union enrichment for the fair sharded backend.
+    """Each floor group's strongest pool members, for the fair merge.
 
-    Round 1 runs the *unconstrained* greedy per shard (2B winners each,
-    like the plain sharded backend), then the union is enriched with
-    each floor group's strongest candidates — twice the floor count by
-    descending initial gain (row ascending on ties) — so the merge
-    round always has enough members of every floor group to be
-    feasible.  The fair merge round then runs exactly over the union.
-    Approximate by construction: not byte-identical to the matrix fair
-    backend, quality-gated by the constraints bench instead.
+    Twice the floor count per floor group, by descending initial gain
+    (row ascending on ties), so the fair merge round over a GreeDi
+    union enriched with them always has enough members of every floor
+    group to be feasible.
     """
     assert index.initial_gains is not None
-    if shards < 1:
-        raise PodiumError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, int(rows.size)) or 1
-    perm = np.random.default_rng(shard_seed).permutation(rows.size)
-    union: set[int] = set()
-    for i in range(shards):
-        shard_rows = np.sort(rows[perm[i::shards]])
-        picked, _gains, _score = _rows_loop(
-            index, shard_rows, 2 * budget, None
-        )
-        union.update(picked)
     pool_mask = np.zeros(index.n_users, dtype=bool)
-    pool_mask[rows] = True
+    pool_mask[pool] = True
+    strongest = [np.empty(0, dtype=np.int64)]
     for key, required in spec.floors:
         if required <= 0:
             continue
@@ -186,8 +172,8 @@ def _fair_union_rows(
         order = np.lexsort(
             (members, -np.asarray(index.initial_gains[members]))
         )
-        union.update(int(r) for r in members[order[: 2 * required]])
-    return np.asarray(sorted(union), dtype=np.int64)
+        strongest.append(members[order[: 2 * required]])
+    return np.concatenate(strongest)
 
 
 def constrained_select(
@@ -277,16 +263,25 @@ def constrained_select(
             sample_size=size, sample_rng=sample_rng,
         )
     elif method == "sharded":
+        # GreeDi with the *unconstrained* greedy per shard and a fair
+        # merge round over the union enriched with floor candidates.
+        # Approximate by construction: not byte-identical to the matrix
+        # fair backend, quality-gated by the constraints bench instead.
         pool = (
             rows
             if rows is not None
             else np.arange(index.n_users, dtype=np.int64)
         )
-        union = _fair_union_rows(
-            index, spec, budget, pool, shards, shard_seed
-        )
-        picked, gains, score = fair_select_rows(
-            index, spec, budget, union, rng
+
+        def merge(union: np.ndarray):
+            enriched = np.union1d(
+                pool[union], _floor_candidates(index, spec, pool)
+            )
+            return fair_select_rows(index, spec, budget, enriched, rng)
+
+        parts = permuted_parts(int(pool.size), shards, shard_seed)
+        picked, gains, score = greedi(
+            index, pool, parts, budget, jobs, merge
         )
     else:
         raise PodiumError(

@@ -19,6 +19,8 @@ Two interchangeable implementations are provided:
   arrays.  When the instance's weights cannot be represented exactly in
   int64 (EBS big-ints, non-integer weights), it transparently falls back
   to the exact lazy path — correctness never depends on the backend.
+  Every array backend, and the fair and clustered constraint solvers,
+  runs this recurrence through one function, :func:`greedy_kernel`.
 
 All three achieve the (1 − 1/e) approximation of Prop. 4.4 because the
 score function is monotone submodular for every weight/coverage choice,
@@ -60,17 +62,21 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidBudgetError, PodiumError
-from .index import InstanceIndex, instance_index
+from .index import InstanceIndex, _segment_sums, instance_index
 from .instance import DiversificationInstance
 from .profiles import UserRepository
 from .scoring import CoverageState
-from .sharding import solve_range_shards, solve_shards
+from .sharding import solve_shards
 from .weights import Weight
+
+#: Backends that run on the array kernel (:func:`greedy_kernel`).
+_ARRAY_METHODS = ("matrix", "sharded", "stochastic")
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,8 @@ def _resolve_candidates(
 ) -> list[str]:
     if candidates is None:
         return repository.user_ids
-    return [u for u in candidates if u in repository]
+    # A repeated id is one candidate: a pool is a set of users.
+    return list(dict.fromkeys(u for u in candidates if u in repository))
 
 
 def _pick_tie(
@@ -180,21 +187,36 @@ def greedy_select(
         return _greedy_eager(pool, instance, budget, rng)
     if method == "lazy":
         return _greedy_lazy(pool, instance, budget, rng)
-    if method == "matrix":
-        return _greedy_matrix(pool, instance, budget, rng)
-    if method == "sharded":
-        return _greedy_sharded(
-            pool, instance, budget, rng,
-            shards=shards, jobs=jobs, shard_seed=shard_seed,
+    if method not in _ARRAY_METHODS:
+        raise PodiumError(
+            f"unknown greedy method {method!r}; use 'eager', 'lazy', "
+            f"'matrix', 'sharded' or 'stochastic'"
         )
-    if method == "stochastic":
-        return _greedy_stochastic(
-            pool, instance, budget, rng,
-            epsilon=epsilon, sample_ratio=sample_ratio,
-        )
-    raise PodiumError(
-        f"unknown greedy method {method!r}; use 'eager', 'lazy', "
-        f"'matrix', 'sharded' or 'stochastic'"
+    index = instance_index(instance)
+    ordered = sorted(pool)
+    if not index.vectorizable:
+        # Exact big-int arithmetic: the lazy path, sharded or not (the
+        # scheme, not the backend, is what shards).
+        if method == "sharded":
+            return _lazy_sharded(
+                ordered, instance, budget, rng, shards, jobs, shard_seed
+            )
+        return _greedy_lazy(pool, instance, budget, rng)
+    # Candidates in no group keep a -1 slot: zero-gain picks.
+    slots = np.fromiter(
+        (index.user_pos.get(u, -1) for u in ordered),
+        dtype=np.int64,
+        count=len(ordered),
+    )
+    picked, gains, score = _select_slots(
+        index, slots, budget, method, rng,
+        shards, jobs, shard_seed, epsilon, sample_ratio,
+    )
+    return SelectionResult(
+        selected=tuple(ordered[p] for p in picked),
+        score=score,
+        gains=tuple(gains),
+        instance=instance,
     )
 
 
@@ -294,345 +316,258 @@ def _greedy_lazy(
     )
 
 
-def _matrix_loop(
-    index: InstanceIndex,
+def _lazy_sharded(
     ordered: list[str],
-    budget: int,
-    rng: np.random.Generator | None,
-    sample_size: int | None = None,
-    sample_rng: np.random.Generator | None = None,
-) -> tuple[list[str], list[Weight], int]:
-    """The vectorized eager recurrence shared by the array backends.
-
-    ``ordered`` must be sorted ascending so the first ``argmax`` is the
-    minimal tied user id — the eager tie-break.  When ``sample_size`` is
-    given, each step restricts the argmax to a uniform ``sample_rng``
-    sample of that many remaining candidates (stochastic greedy); a
-    sample covering every remaining candidate degenerates to the exact
-    deterministic argmax, so ``sample_size >= n`` reproduces the plain
-    matrix selections for any ``sample_rng``.
-    """
-    assert index.wei is not None and index.initial_gains is not None
-    n = len(ordered)
-    # Dense position of each candidate in the index (-1: in no group).
-    pos = np.fromiter(
-        (index.user_pos.get(u, -1) for u in ordered), dtype=np.int64, count=n
-    )
-    present = pos >= 0
-    gain = np.zeros(n, dtype=np.int64)
-    gain[present] = index.initial_gains[pos[present]]
-    # Inverse map dense index id -> candidate row (-1: not a candidate).
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[pos[present]] = np.flatnonzero(present)
-
-    remaining = index.cov.copy()
-    active = np.ones(n, dtype=bool)
-    selected: list[str] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        if sample_size is not None:
-            candidates = np.flatnonzero(active)
-            if sample_size < candidates.size:
-                assert sample_rng is not None
-                pick = sample_rng.choice(
-                    candidates.size, size=sample_size, replace=False
-                )
-                # Sorted sample keeps argmax ties on the minimal user id.
-                candidates = candidates[np.sort(pick)]
-            row = int(candidates[int(np.argmax(gain[candidates]))])
-            realized = int(gain[row])
-        elif rng is None:
-            masked = np.where(active, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(active, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        selected.append(ordered[row])
-        gains.append(realized)
-        score += realized
-
-        if pos[row] < 0:
-            continue
-        touched = index.groups_of_row(int(pos[row]))
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = index.members_of_rows(exhausted)
-            weights = np.repeat(index.wei[exhausted], index.row_sizes(exhausted))
-            rows = dense_to_row[members]
-            keep = rows >= 0
-            np.subtract.at(gain, rows[keep], weights[keep])
-
-    return selected, gains, score
-
-
-def _range_loop(
-    index: InstanceIndex,
-    lo: int,
-    hi: int,
-    budget: int,
-    rng: np.random.Generator | None,
-    sample_size: int | None = None,
-    sample_rng: np.random.Generator | None = None,
-) -> tuple[list[int], list[Weight], int]:
-    """The eager recurrence over a contiguous dense-row range.
-
-    The dense-id twin of :func:`_matrix_loop` for the (common) case
-    where the candidate pool is every row in ``[lo, hi)``: no id
-    strings, no ``user_pos`` lookups and no ``dense_to_row`` inverse
-    array are ever built, so a memory-mapped index selects without
-    materializing a single per-user Python object.  Rows are already
-    sorted by user id (the index invariant), so the first ``argmax`` is
-    the minimal tied id and ``_range_loop(index, 0, n, ...)`` picks
-    exactly the rows of ``_matrix_loop(index, list(index.users), ...)``.
-    Returns dense row ids, not user ids — callers resolve only the
-    ≤ budget winners.
-    """
-    assert index.wei is not None and index.initial_gains is not None
-    n = hi - lo
-    gain = np.asarray(index.initial_gains[lo:hi]).astype(np.int64)
-    remaining = np.array(index.cov, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        if sample_size is not None:
-            candidates = np.flatnonzero(active)
-            if sample_size < candidates.size:
-                assert sample_rng is not None
-                pick = sample_rng.choice(
-                    candidates.size, size=sample_size, replace=False
-                )
-                # Sorted sample keeps argmax ties on the minimal user id.
-                candidates = candidates[np.sort(pick)]
-            row = int(candidates[int(np.argmax(gain[candidates]))])
-            realized = int(gain[row])
-        elif rng is None:
-            masked = np.where(active, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(active, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        picked.append(lo + row)
-        gains.append(realized)
-        score += realized
-
-        touched = np.asarray(index.groups_of_row(lo + row), dtype=np.int64)
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            inside = (members >= lo) & (members < hi)
-            np.subtract.at(gain, members[inside] - lo, weights[inside])
-
-    return picked, gains, score
-
-
-def _rows_loop(
-    index: InstanceIndex,
-    rows: np.ndarray,
-    budget: int,
-    rng: np.random.Generator | None,
-) -> tuple[list[int], list[Weight], int]:
-    """The eager recurrence over an arbitrary ascending dense-row set.
-
-    Generalizes :func:`_range_loop` to a non-contiguous candidate pool
-    (the customization path's refined user set ``U'`` as a row mask):
-    no candidate id strings and no ``user_pos`` lookups are ever built,
-    so a memory-mapped index refines and selects without decoding any
-    id but the ≤ budget winners.  ``rows`` must be ascending so the
-    first ``argmax`` is the minimal tied user id; the picks equal
-    ``_matrix_loop(index, [index.users[r] for r in rows], ...)`` row
-    for row.  Returns dense row ids.
-    """
-    assert index.wei is not None and index.initial_gains is not None
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.size
-    gain = np.asarray(index.initial_gains[rows]).astype(np.int64)
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[rows] = np.arange(n, dtype=np.int64)
-    remaining = np.array(index.cov, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        if rng is None:
-            masked = np.where(active, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(active, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        picked.append(int(rows[row]))
-        gains.append(realized)
-        score += realized
-
-        touched = np.asarray(index.groups_of_row(int(rows[row])), dtype=np.int64)
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            candidate = dense_to_row[members]
-            keep = candidate >= 0
-            np.subtract.at(gain, candidate[keep], weights[keep])
-
-    return picked, gains, score
-
-
-def _greedy_matrix(
-    pool: list[str],
     instance: DiversificationInstance,
     budget: int,
     rng: np.random.Generator | None,
+    shards: int,
+    jobs: int | None,
+    shard_seed: int,
 ) -> SelectionResult:
-    """Vectorized eager greedy over the sparse instance index.
+    """GreeDi with exact lazy solves, for non-vectorizable instances."""
 
-    Maintains the same ``marg_{u,U}`` recurrence as the eager
-    implementation, but as one int64 gain vector: picking is an
-    ``argmax`` (candidates sit in sorted user-id order, so the first
-    maximum is the minimal tied id — the eager tie-break), coverage
-    decrements are CSR row gathers and exhausted-group propagation is a
-    single ``np.subtract.at`` scatter.  Instances whose weights are not
-    exactly representable in int64 fall back to the exact lazy path.
-    """
-    index = instance_index(instance)
-    if not index.vectorizable:
-        return _greedy_lazy(pool, instance, budget, rng)
-    selected, gains, score = _matrix_loop(index, sorted(pool), budget, rng)
-    return SelectionResult(
-        selected=tuple(selected),
-        score=score,
-        gains=tuple(gains),
-        instance=instance,
+    def solve(_index, part: np.ndarray) -> np.ndarray:
+        shard = [ordered[p] for p in part]
+        picks = _greedy_lazy(shard, instance, 2 * budget, None).selected
+        return np.asarray(
+            [bisect_left(ordered, u) for u in picks], dtype=np.int64
+        )
+
+    def merge(union: np.ndarray) -> SelectionResult:
+        return _greedy_lazy([ordered[p] for p in union], instance, budget, rng)
+
+    parts = permuted_parts(len(ordered), shards, shard_seed)
+    return greedi(
+        None, range(len(ordered)), parts, budget, jobs, merge, solve=solve
     )
 
 
-def _shard_pools(
-    ordered: list[str], shards: int, shard_seed: int
-) -> list[list[str]]:
-    """Deterministically partition sorted candidates into sorted shards.
+def greedy_kernel(
+    index: InstanceIndex,
+    slots: range | np.ndarray,
+    budget: int,
+    rng: np.random.Generator | None = None,
+    *,
+    sample_size: int | None = None,
+    sample_rng: np.random.Generator | None = None,
+    remaining: np.ndarray | None = None,
+    hook=None,
+) -> tuple[list[int], list[Weight], int]:
+    """Algorithm 1's array recurrence over candidate slots.
 
-    A seeded permutation deals users round-robin so shard sizes differ by
-    at most one and shard composition is independent of the original
-    clustering of ids — the random partition GreeDi's analysis assumes.
+    Every array backend and constraint solver runs this one loop.  The
+    candidates are *slots* in ascending user-id order: a contiguous
+    ``range`` of dense rows, or an int64 array of dense rows in which
+    ``-1`` marks a candidate in no group (a zero-gain pick).  Gains live
+    in one int64 vector, a pick is an ``argmax`` (the first maximum is
+    the minimal tied id — the eager tie-break), and every group the pick
+    exhausts subtracts its weight from its other candidates in one
+    ``np.subtract.at`` scatter.  Returns ``(positions, gains, score)``
+    with positions into ``slots``; callers map them to rows or ids.
+
+    A pick is *retired* by setting its gain to ``-1``; the scatter may
+    push a retired slot lower, but never past the int64 minimum: after
+    retirement a slot only loses weight it still held when retired, at
+    most its gain then, which is ≤ ``Σ_G wei(G)·|G|`` ≤ int64 max on a
+    vectorizable index.  Unretired gains stay ≥ 0, so "gain < 0" is the
+    retired set — what the random tie-break and the stochastic sample
+    (``sample_size`` of the unretired slots per step, drawn from
+    ``sample_rng``; a sample covering them all is the exact argmax)
+    see.  The range case allocates nothing ``n_users``-sized, so a
+    memory-mapped index selects in O(range) memory.
+
+    ``remaining`` is optional starting coverage (groups already covered
+    by earlier picks); gains are then marginal to those picks.  ``hook``
+    plugs in a feasibility policy: ``hook.retired`` lists dense rows
+    retired before the first step, ``hook.feasible(step, n, slot_of)``
+    returns a per-step feasibility mask over the ``n`` slots (or
+    ``None``: every unretired slot) given ``slot_of`` mapping dense rows
+    to slots (``-1``: not a candidate), and ``hook.picked(touched)``
+    takes the pick's groups and returns dense rows to retire.  The loop
+    stops early when no feasible slot remains.
+    """
+    assert index.wei is not None and index.initial_gains is not None
+    if remaining is None:
+        base = index.initial_gains
+        remaining = np.array(index.cov, dtype=np.int64)
+    else:
+        remaining = np.array(remaining, dtype=np.int64)
+        effective = np.where(remaining > 0, index.wei, 0).astype(np.int64)
+        base = _segment_sums(effective[index.u_indices], index.u_indptr)
+    n = len(slots)
+    if isinstance(slots, range):
+        lo = slots.start
+        gain = np.asarray(base[lo:lo + n]).astype(np.int64)
+
+        def row_of(slot: int) -> int:
+            return lo + slot
+
+        def slot_of(members: np.ndarray) -> np.ndarray:
+            local = np.asarray(members, dtype=np.int64) - lo
+            local[(local < 0) | (local >= n)] = -1
+            return local
+    else:
+        rows = np.asarray(slots, dtype=np.int64)
+        present = rows >= 0
+        gain = np.zeros(n, dtype=np.int64)
+        gain[present] = base[rows[present]]
+        inverse = np.full(index.n_users, -1, dtype=np.int64)
+        inverse[rows[present]] = np.flatnonzero(present)
+
+        def row_of(slot: int) -> int:
+            return int(rows[slot])
+
+        def slot_of(members: np.ndarray) -> np.ndarray:
+            return inverse[members]
+
+    def retire(dense_rows: np.ndarray) -> None:
+        retired = slot_of(dense_rows)
+        gain[retired[retired >= 0]] = -1
+
+    if hook is not None:
+        retire(hook.retired)
+    picked: list[int] = []
+    gains: list[Weight] = []
+    score = 0
+    for step in range(budget):
+        masked = gain
+        if hook is not None:
+            feasible = hook.feasible(step, n, slot_of)
+            if feasible is not None:
+                masked = np.where(feasible, gain, np.int64(-1))
+        slot = _pick(masked, rng, sample_size, sample_rng)
+        if slot < 0:
+            break
+        realized = int(masked[slot])
+        gain[slot] = -1
+        picked.append(slot)
+        gains.append(realized)
+        score += realized
+
+        row = row_of(slot)
+        if row < 0:
+            continue
+        touched = np.asarray(index.groups_of_row(row), dtype=np.int64)
+        if hook is not None:
+            retire(hook.picked(touched))
+        hit = touched[remaining[touched] > 0]
+        remaining[hit] -= 1
+        exhausted = hit[remaining[hit] == 0]
+        if exhausted.size:
+            members = slot_of(index.members_of_rows(exhausted))
+            weights = np.repeat(
+                index.wei[exhausted], index.row_sizes(exhausted)
+            )
+            keep = members >= 0
+            np.subtract.at(gain, members[keep], weights[keep])
+
+    return picked, gains, score
+
+
+def _pick(
+    masked: np.ndarray,
+    rng: np.random.Generator | None,
+    sample_size: int | None,
+    sample_rng: np.random.Generator | None,
+) -> int:
+    """The slot one kernel step picks, or ``-1`` when none is eligible.
+
+    Returns before drawing from either generator when nothing is
+    eligible, so a stopped run leaves the caller's generator where the
+    last pick left it.
+    """
+    if sample_size is not None:
+        candidates = np.flatnonzero(masked >= 0)
+        if not candidates.size:
+            return -1
+        if sample_size < candidates.size:
+            assert sample_rng is not None
+            pick = sample_rng.choice(
+                candidates.size, size=sample_size, replace=False
+            )
+            # Sorted sample keeps argmax ties on the minimal user id.
+            candidates = candidates[np.sort(pick)]
+        return int(candidates[int(np.argmax(masked[candidates]))])
+    if not masked.size:
+        return -1
+    if rng is None:
+        slot = int(np.argmax(masked))
+        return slot if masked[slot] >= 0 else -1
+    best = masked.max()
+    if best < 0:
+        return -1
+    tied = np.flatnonzero(masked == best)
+    return int(tied[int(rng.integers(tied.size))])
+
+
+def permuted_parts(
+    n: int, shards: int, shard_seed: int
+) -> list[np.ndarray]:
+    """Deterministically deal ``n`` slot positions into sorted shards.
+
+    A seeded permutation deals positions round-robin so shard sizes
+    differ by at most one and shard composition is independent of the
+    original clustering of ids — the random partition GreeDi's analysis
+    assumes.
     """
     if shards < 1:
         raise PodiumError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, len(ordered)) or 1
-    perm = np.random.default_rng(shard_seed).permutation(len(ordered))
-    return [
-        sorted(ordered[p] for p in perm[i::shards]) for i in range(shards)
-    ]
+    shards = min(shards, n) or 1
+    perm = np.random.default_rng(shard_seed).permutation(n)
+    return [np.sort(perm[i::shards]) for i in range(shards)]
 
 
-def _greedy_sharded(
-    pool: list[str],
-    instance: DiversificationInstance,
-    budget: int,
-    rng: np.random.Generator | None,
-    shards: int,
-    jobs: int | None,
-    shard_seed: int,
-) -> SelectionResult:
-    """GreeDi two-round greedy: solve shards, exact greedy on the union.
-
-    Round 1 solves every shard independently with the deterministic
-    matrix backend (fanned out over forked workers when ``jobs > 1``);
-    round 2 runs one exact greedy over the ≤ 2·shards·budget shard picks
-    (each shard over-returns 2B winners to enrich the union).
-    ``rng`` only affects round-2 tie-breaks — shard solves stay
-    deterministic so the union, and hence the result under ``rng=None``,
-    depends only on ``(pool, instance, budget, shards, shard_seed)``.
-
-    With ``shards=1`` the union is greedy's own 2B-pick run, whose first
-    B picks are exactly the B-budget sequence; greedy re-run restricted
-    to a pool containing its own output re-picks the same sequence (each
-    pick is still the max-gain, min-id candidate in any subset
-    containing it), so the matrix selections are reproduced exactly.  Non-vectorizable instances run both rounds on the exact
-    lazy path — the scheme, not the backend, is what shards.
-    """
-    index = instance_index(instance)
-    if index.vectorizable:
-        selected, gains, score = _sharded_loop(
-            index, sorted(pool), budget, rng,
-            shards=shards, jobs=jobs, shard_seed=shard_seed,
-        )
-        return SelectionResult(
-            selected=tuple(selected),
-            score=score,
-            gains=tuple(gains),
-            instance=instance,
-        )
-    pools = _shard_pools(sorted(pool), shards, shard_seed)
-    shard_budget = 2 * budget
-
-    def solve(shard_pool: list[str]) -> list[str]:
-        return list(
-            _greedy_lazy(shard_pool, instance, shard_budget, None).selected
-        )
-
-    shard_picks = solve_shards(solve, pools, jobs=jobs)
-    union = sorted({u for picks in shard_picks for u in picks})
-    return _greedy_lazy(union, instance, budget, rng)
+def _shard_slots(
+    slots: range | np.ndarray, part: range | np.ndarray
+) -> range | np.ndarray:
+    """The slots at ``part``'s positions (a range stays a range)."""
+    if isinstance(part, range):
+        return slots[part.start:part.stop]
+    if isinstance(slots, range):
+        return part + slots.start
+    return slots[part]
 
 
-def _sharded_loop(
+def greedi(
     index: InstanceIndex,
-    ordered: list[str],
+    slots: range | np.ndarray,
+    parts: list,
     budget: int,
-    rng: np.random.Generator | None,
-    shards: int,
     jobs: int | None,
-    shard_seed: int,
-) -> tuple[list[str], list[Weight], int]:
-    """Both GreeDi rounds on the vectorized backend.
+    merge,
+    solve=None,
+):
+    """GreeDi two-round greedy [Mirzasoleiman et al., "Distributed
+    submodular maximization"] that every sharded backend runs.
 
-    Each shard over-returns up to 2B winners (its B-budget sequence is
-    the prefix, so shards=1 exactness is unaffected): the richer union
-    measurably lifts the merge round's quality for a ~2x round-1 cost.
+    ``parts`` are the shards as ascending positions into ``slots``
+    (position arrays from :func:`permuted_parts`, or row ranges for the
+    out-of-core path).  Round 1 runs :func:`greedy_kernel` on each shard
+    for 2B picks — over-returning enriches the union and measurably
+    lifts the merge round's quality for a ~2x round-1 cost — fanned out
+    over forked workers by :func:`~repro.core.sharding.solve_shards`
+    when ``jobs > 1``.  Round 2 is ``merge(union)`` on the sorted
+    positions of every shard winner; its result is returned.  ``solve``
+    replaces the round-1 shard solve (``solve(index, part)`` returning
+    positions).  Round 1 is deterministic, so the union depends only on
+    the shards, never on ``jobs``.
+
+    With one shard the union is greedy's own 2B-pick run, whose first B
+    picks are exactly the B-budget sequence; greedy re-run over a pool
+    containing its own output re-picks the same sequence (each pick is
+    still the max-gain, min-id candidate in any subset containing it),
+    so an exact merge round reproduces the unsharded selection.
     """
-    pools = _shard_pools(ordered, shards, shard_seed)
-    shard_budget = 2 * budget
 
-    def solve(shard_pool: list[str]) -> list[str]:
-        return _matrix_loop(index, shard_pool, shard_budget, None)[0]
+    def winners(shard_index: InstanceIndex, part) -> np.ndarray:
+        picked, _gains, _score = greedy_kernel(
+            shard_index, _shard_slots(slots, part), 2 * budget
+        )
+        return np.asarray([part[p] for p in picked], dtype=np.int64)
 
-    shard_picks = solve_shards(solve, pools, jobs=jobs)
-    union = sorted({u for picks in shard_picks for u in picks})
-    return _matrix_loop(index, union, budget, rng)
+    picks = solve_shards(solve or winners, index, parts, jobs=jobs)
+    return merge(np.unique(np.concatenate(picks)))
 
 
 def _stochastic_sample_size(
@@ -652,37 +587,50 @@ def _stochastic_sample_size(
     return max(1, min(size, n))
 
 
-def _greedy_stochastic(
-    pool: list[str],
-    instance: DiversificationInstance,
+def _select_slots(
+    index: InstanceIndex,
+    slots: range | np.ndarray,
     budget: int,
+    method: str,
     rng: np.random.Generator | None,
+    shards: int,
+    jobs: int | None,
+    shard_seed: int,
     epsilon: float,
     sample_ratio: float | None,
-) -> SelectionResult:
-    """Stochastic greedy: each step argmaxes over a random sample.
+) -> tuple[list[int], list[Weight], int]:
+    """One array backend over candidate slots; positions into ``slots``.
 
-    ``rng`` drives the sampling only; ties within a sample always break
-    deterministically on the minimal user id.  When ``rng`` is ``None`` a
-    seed-0 generator is used so repeated calls reproduce the same
-    selections by default.  Non-vectorizable instances take the exact
-    lazy path (sampling a path that exists for speed would be pointless
-    when exactness is already forced).
+    ``"matrix"`` is one kernel run.  ``"stochastic"`` samples each step
+    (``rng`` drives the sampling only, defaulting to a seed-0 generator
+    so repeated calls reproduce; ties within a sample break on the
+    minimal user id).  ``"sharded"`` is GreeDi over seeded-permutation
+    shards with an exact merge round; ``rng`` only affects round-2
+    tie-breaks.
     """
-    index = instance_index(instance)
-    if not index.vectorizable:
-        return _greedy_lazy(pool, instance, budget, rng)
-    ordered = sorted(pool)
-    size = _stochastic_sample_size(len(ordered), budget, epsilon, sample_ratio)
-    sample_rng = rng if rng is not None else np.random.default_rng(0)
-    selected, gains, score = _matrix_loop(
-        index, ordered, budget, None, sample_size=size, sample_rng=sample_rng
-    )
-    return SelectionResult(
-        selected=tuple(selected),
-        score=score,
-        gains=tuple(gains),
-        instance=instance,
+    if method == "sharded":
+
+        def merge(union: np.ndarray):
+            picked, gains, score = greedy_kernel(
+                index, _shard_slots(slots, union), budget, rng
+            )
+            return [int(union[p]) for p in picked], gains, score
+
+        parts = permuted_parts(len(slots), shards, shard_seed)
+        return greedi(index, slots, parts, budget, jobs, merge)
+    if method == "stochastic":
+        size = _stochastic_sample_size(
+            len(slots), budget, epsilon, sample_ratio
+        )
+        sample_rng = rng if rng is not None else np.random.default_rng(0)
+        return greedy_kernel(
+            index, slots, budget, sample_size=size, sample_rng=sample_rng
+        )
+    if method == "matrix":
+        return greedy_kernel(index, slots, budget, rng)
+    raise PodiumError(
+        f"unknown index selection method {method!r}; use 'matrix', "
+        f"'sharded' or 'stochastic'"
     )
 
 
@@ -715,6 +663,9 @@ def select_from_index(
 
     ``candidates`` defaults to every indexed user; ids the index does not
     know are ignored (they sit in no group, so they can never contribute).
+    The full pool runs over dense rows directly and resolves only the
+    winners' ids: on a memory-mapped index this keeps selection
+    O(budget) in Python objects.
 
     ``constraints`` accepts a
     :class:`~repro.constraints.ConstraintSpec`; a non-empty spec routes
@@ -756,58 +707,22 @@ def select_from_index(
                 instance=instance,
             )
         return result
-    if candidates is None and method in ("matrix", "stochastic"):
-        # Full-pool fast path: run over dense rows directly and resolve
-        # only the winners' ids.  On a memory-mapped index this is what
-        # keeps selection O(budget) in Python objects — `list(index.users)`
-        # would materialize every id string (and at 5M users, most of the
-        # out-of-core RSS budget) just to throw them away.
-        if method == "stochastic":
-            size = _stochastic_sample_size(
-                index.n_users, budget, epsilon, sample_ratio
-            )
-            sample_rng = rng if rng is not None else np.random.default_rng(0)
-            rows, gains, score = _range_loop(
-                index, 0, index.n_users, budget, None,
-                sample_size=size, sample_rng=sample_rng,
-            )
-        else:
-            rows, gains, score = _range_loop(
-                index, 0, index.n_users, budget, rng
-            )
-        return SelectionResult(
-            selected=tuple(str(index.users[r]) for r in rows),
-            score=score,
-            gains=tuple(gains),
-            instance=instance,
-        )
+    slots: range | np.ndarray
     if candidates is None:
-        ordered = list(index.users)  # already sorted ascending
+        slots = range(index.n_users)
     else:
         ordered = sorted(u for u in set(candidates) if u in index.user_pos)
-    if method == "matrix":
-        selected, gains, score = _matrix_loop(index, ordered, budget, rng)
-    elif method == "sharded":
-        selected, gains, score = _sharded_loop(
-            index, ordered, budget, rng,
-            shards=shards, jobs=jobs, shard_seed=shard_seed,
+        slots = np.fromiter(
+            (index.user_pos[u] for u in ordered),
+            dtype=np.int64,
+            count=len(ordered),
         )
-    elif method == "stochastic":
-        size = _stochastic_sample_size(
-            len(ordered), budget, epsilon, sample_ratio
-        )
-        sample_rng = rng if rng is not None else np.random.default_rng(0)
-        selected, gains, score = _matrix_loop(
-            index, ordered, budget, None,
-            sample_size=size, sample_rng=sample_rng,
-        )
-    else:
-        raise PodiumError(
-            f"unknown index selection method {method!r}; use 'matrix', "
-            f"'sharded' or 'stochastic'"
-        )
+    picked, gains, score = _select_slots(
+        index, slots, budget, method, rng,
+        shards, jobs, shard_seed, epsilon, sample_ratio,
+    )
     return SelectionResult(
-        selected=tuple(selected),
+        selected=tuple(str(index.users[int(slots[p])]) for p in picked),
         score=score,
         gains=tuple(gains),
         instance=instance,
@@ -826,22 +741,19 @@ def select_sharded_streaming(
 
     The out-of-core twin of ``method="sharded"``: shards are row ranges
     ``[i·n/S, (i+1)·n/S)`` instead of a seeded permutation, so a forked
-    worker touches only its own slice of the mapped CSR arrays (via
-    :func:`~repro.core.sharding.solve_range_shards`, which re-opens the
-    source checkpoint per worker when the index carries one).  Round 1
-    returns each shard's 2B winners as compact ``(rows, gains)`` int64
-    arrays — no id strings cross the process boundary; round 2 gathers
-    the union into a small :meth:`InstanceIndex.take_rows` sub-index and
-    runs the exact greedy on it.  Resident memory in the parent is
-    O(union); in each worker, O(shard).
+    worker touches only its own slice of the mapped CSR arrays (the
+    fan-out re-opens the source checkpoint per worker when the index
+    carries one).  Round 1 returns each shard's 2B winners as a compact
+    int64 row array — no id strings cross the process boundary; round 2
+    gathers the union into a small :meth:`InstanceIndex.take_rows`
+    sub-index and runs the exact greedy on it.  Resident memory in the
+    parent is O(union); in each worker, O(shard).
 
     Contiguous row ranges partition users by id order rather than
     randomly, so the GreeDi guarantee is the same worst case but the
     measured quality can differ from the permuted variant; the scale
     bench gates both against the 0.95 floor.  ``shards=1`` reproduces
-    the matrix selections exactly: the union is greedy's own 2B-pick
-    run, whose first B picks re-pick themselves (each is still the
-    max-gain, min-id candidate in any subset containing it).
+    the matrix selections exactly (see :func:`greedi`).
     """
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
@@ -855,32 +767,20 @@ def select_sharded_streaming(
         raise PodiumError(f"shards must be >= 1, got {shards}")
     n = index.n_users
     shards = min(shards, n) or 1
-    bounds = [
-        (i * n // shards, (i + 1) * n // shards) for i in range(shards)
+    parts = [
+        range(i * n // shards, (i + 1) * n // shards) for i in range(shards)
     ]
-    shard_budget = 2 * budget
 
-    def solve(
-        shard_index: InstanceIndex, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        rows, row_gains, _ = _range_loop(
-            shard_index, lo, hi, shard_budget, None
+    def merge(union: np.ndarray):
+        sub = index.take_rows(union)
+        picked, gains, score = greedy_kernel(
+            sub, range(sub.n_users), budget, rng
         )
-        return (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(row_gains, dtype=np.int64),
-        )
+        return [int(union[p]) for p in picked], gains, score
 
-    winners = solve_range_shards(solve, index, bounds, jobs=jobs)
-    union_rows = np.unique(
-        np.concatenate([rows for rows, _gains in winners])
-        if winners
-        else np.empty(0, dtype=np.int64)
-    )
-    sub = index.take_rows(union_rows)
-    picked, gains, score = _range_loop(sub, 0, sub.n_users, budget, rng)
+    rows, gains, score = greedi(index, range(n), parts, budget, jobs, merge)
     return SelectionResult(
-        selected=tuple(str(sub.users[r]) for r in picked),
+        selected=tuple(str(index.users[r]) for r in rows),
         score=score,
         gains=tuple(gains),
         instance=None,

@@ -1,13 +1,14 @@
 """Fork-warmed shard executor for GreeDi-style distributed selection.
 
-The sharded greedy backend solves S independent sub-problems (one per
-user shard) before its exact merge round.  This module runs those
+The sharded greedy backends solve S independent sub-problems (one per
+shard) before their exact merge round.  This module runs those
 sub-solves, in parallel when the platform makes it cheap: like the
-experiment engine (PR 2), the parent process stashes the heavy shared
-state — the instance or index plus every shard's candidate pool — in a
-module global *before* creating a fork-based ``ProcessPoolExecutor``, so
-workers inherit it copy-on-write and each task payload is a single shard
-number.  Nothing heavyweight is ever pickled.
+experiment engine, the parent process stashes the heavy shared
+state — the solve function, the index and every shard's description —
+in a module global *before* creating a fork-based
+``ProcessPoolExecutor``, so workers inherit it copy-on-write and each
+task payload is a single shard number.  Nothing heavyweight is ever
+pickled.
 
 When forking is unavailable (non-fork start method), ``jobs <= 1`` or
 there is only one shard, the shards are solved serially in-process —
@@ -22,8 +23,12 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
 #: Parent-process payload inherited copy-on-write by forked workers:
-#: ``{"solve": pool -> result, "pools": [shard pools]}``.  Set only for
-#: the lifetime of one executor; workers read it, the parent clears it.
+#: ``{"solve", "parts", "path", "index"}``.  When ``path`` is set (the
+#: index was opened from an ``.npz`` checkpoint), ``index`` is ``None``
+#: in the parent and each forked worker lazily re-opens its *own*
+#: mapping of the checkpoint — the worker then touches only the pages of
+#: its shard, so resident memory per worker is O(shard), not O(n).  Set
+#: only for the lifetime of one executor; the parent clears it.
 _PARENT: dict | None = None
 
 
@@ -46,104 +51,58 @@ def _fork_available() -> bool:
 
 def _solve_shard(shard: int):
     """Worker entry point: solve one shard from the inherited payload."""
-    assert _PARENT is not None, "worker forked without parent payload"
-    return _PARENT["solve"](_PARENT["pools"][shard])
-
-
-def solve_shards(
-    solve: Callable,
-    pools: Sequence,
-    jobs: int | None = 1,
-) -> list:
-    """Apply ``solve`` to every shard pool, fanning out when safe.
-
-    ``solve`` must be deterministic (the sharded backend's sub-solves
-    are), so serial and parallel execution return identical lists and the
-    parallel path is purely a wall-clock optimization.  Results come back
-    in shard order regardless of completion order.
-    """
-    pools = list(pools)
-    jobs = normalize_jobs(jobs)
-    if jobs <= 1 or len(pools) <= 1 or not _fork_available():
-        return [solve(pool) for pool in pools]
-
-    global _PARENT
-    _PARENT = {"solve": solve, "pools": pools}
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pools)), mp_context=context
-        ) as executor:
-            return list(executor.map(_solve_shard, range(len(pools))))
-    finally:
-        _PARENT = None
-
-
-#: Parent payload for range-sharded solves: ``{"solve", "bounds",
-#: "path", "index"}``.  When ``path`` is set (the index was opened from
-#: an ``.npz`` checkpoint), ``index`` is ``None`` in the parent and each
-#: forked worker lazily re-opens its *own* mapping of the checkpoint —
-#: the worker then touches only the pages of its row range, so resident
-#: memory per worker is O(shard), not O(n).
-_RANGE_PARENT: dict | None = None
-
-
-def _solve_range_shard(shard: int):
-    """Worker entry point: solve one contiguous row range."""
-    payload = _RANGE_PARENT
+    payload = _PARENT
     assert payload is not None, "worker forked without parent payload"
-    index = payload.get("index")
-    if index is None:
+    index = payload["index"]
+    if index is None and payload["path"] is not None:
         from .persistence import open_index_npz
 
         # The parent already verified the checkpoint when it opened it;
         # re-verifying per worker would stream the whole file S times.
         index = open_index_npz(payload["path"], verify=False)
         payload["index"] = index  # cached for this worker's later tasks
-    lo, hi = payload["bounds"][shard]
-    return payload["solve"](index, lo, hi)
+    return payload["solve"](index, payload["parts"][shard])
 
 
-def solve_range_shards(
+def solve_shards(
     solve: Callable,
     index,
-    bounds: Sequence[tuple[int, int]],
+    parts: Sequence,
     jobs: int | None = 1,
 ) -> list:
-    """Apply ``solve(index, lo, hi)`` to contiguous row ranges.
+    """Apply ``solve(index, part)`` to every shard, fanning out when safe.
 
-    The range-sharded twin of :func:`solve_shards` for indexes whose
-    rows — not candidate-id lists — define the shards.  ``solve`` must
-    be deterministic so serial and parallel execution agree.  When the
-    index carries a source checkpoint path
+    ``solve`` must be deterministic (every sharded backend's sub-solves
+    are), so serial and parallel execution return identical lists and
+    the parallel path is purely a wall-clock optimization.  Results come
+    back in shard order regardless of completion order.  When the index
+    carries a source checkpoint path
     (:func:`repro.core.persistence.open_index_npz` attaches one), forked
     workers do not reuse the parent's mapping at all: each re-opens the
-    checkpoint lazily and pages in only its own range, keeping the whole
+    checkpoint lazily and pages in only its own shard, keeping the whole
     process tree's unique resident memory at O(shard) per worker.
-    In-RAM indexes fall back to plain copy-on-write inheritance.
+    In-RAM indexes are inherited copy-on-write.
     """
-    bounds = list(bounds)
+    parts = list(parts)
     jobs = normalize_jobs(jobs)
-    if jobs <= 1 or len(bounds) <= 1 or not _fork_available():
-        return [solve(index, lo, hi) for lo, hi in bounds]
+    if jobs <= 1 or len(parts) <= 1 or not _fork_available():
+        return [solve(index, part) for part in parts]
 
     from .persistence import index_source_path
 
     path = index_source_path(index)
-    global _RANGE_PARENT
-    _RANGE_PARENT = {
+    global _PARENT
+    _PARENT = {
         "solve": solve,
-        "bounds": bounds,
+        "parts": parts,
         "path": path,
         "index": None if path is not None else index,
     }
     try:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(bounds)), mp_context=context
+            max_workers=min(jobs, len(parts)), mp_context=context
         ) as executor:
-            return list(
-                executor.map(_solve_range_shard, range(len(bounds)))
-            )
+            return list(executor.map(_solve_shard, range(len(parts))))
     finally:
-        _RANGE_PARENT = None
+        _PARENT = None

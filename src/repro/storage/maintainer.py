@@ -34,7 +34,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..core.errors import StorageError
-from ..core.greedy import select_from_index
+from ..core.greedy import greedy_kernel, select_from_index
 from ..core.index import InstanceIndex, _segment_sums
 
 #: Safety cap on swap iterations per refresh: each swap strictly
@@ -170,22 +170,20 @@ class StreamingMaintainer:
         return _segment_sums(live[index.u_indices], index.u_indptr)
 
     def _fill(self) -> None:
-        """Greedily refill free budget slots (matrix-greedy step rule)."""
+        """Greedily refill free budget slots: the greedy kernel over the
+        outsiders, started from the coverage the members leave open."""
         index = self._index
-        remaining = self._remaining(self._selected)
-        blocked = index.selection_mask(self._selected)
-        while len(self._selected) < self.budget:
-            gain = self._gain_vector(remaining)
-            gain[blocked] = -1
-            row = int(np.argmax(gain))  # first max = minimal user id
-            if gain[row] <= 0:
+        free = self.budget - len(self._selected)
+        if free <= 0:
+            return
+        outsiders = np.flatnonzero(~index.selection_mask(self._selected))
+        picked, gains, _score = greedy_kernel(
+            index, outsiders, free, remaining=self._remaining(self._selected)
+        )
+        for position, gain in zip(picked, gains):
+            if gain <= 0:
                 break  # nothing contributes; leave slots open
-            user = index.users[row]
-            self._selected.append(user)
-            blocked[row] = True
-            touched = index.groups_of_row(row)
-            hit = touched[remaining[touched] > 0]
-            remaining[hit] -= 1
+            self._selected.append(index.users[int(outsiders[position])])
             self.fills += 1
 
     def _contributions(self) -> list[int]:

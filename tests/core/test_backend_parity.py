@@ -98,6 +98,25 @@ class TestParitySweep:
         assert matrix.score == eager.score
         assert set(matrix.selected) <= set(pool)
 
+    @pytest.mark.parametrize(
+        "method", ("eager", "lazy", "matrix", "sharded", "stochastic")
+    )
+    def test_repeated_candidate_ids_count_once(self, method):
+        """A pool listing users twice is the pool of distinct users."""
+        repo, instance = _sweep_instance(
+            LBSWeights, SingleCoverage, seed=0, n_users=40
+        )
+        first = sorted(repo.user_ids)[:5]
+        result = greedy_select(
+            repo, instance, budget=8, candidates=first + first, method=method
+        )
+        distinct = greedy_select(
+            repo, instance, budget=8, candidates=first, method="eager"
+        )
+        assert sorted(result.selected) == first
+        assert result.score == subset_score(instance, result.selected)
+        assert result.score == distinct.score
+
     def test_matrix_with_rng_still_valid(self):
         """Randomized tie-breaking: same score guarantee, subset may vary."""
         repo, instance = _sweep_instance(IdenWeights, SingleCoverage, seed=3)
