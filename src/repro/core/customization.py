@@ -33,7 +33,13 @@ from .errors import (
     InvalidBudgetError,
     InvalidFeedbackError,
 )
-from .greedy import SelectionResult, greedy_kernel, greedy_select
+from .explanations import inherit_explanations
+from .greedy import (
+    _ARRAY_METHODS,
+    SelectionResult,
+    greedy_kernel,
+    greedy_select,
+)
 from .groups import GroupKey, GroupSet
 from .index import InstanceIndex, attach_index, instance_index
 from .instance import DiversificationInstance
@@ -64,14 +70,13 @@ class CustomizationFeedback:
 
     def validate(self, groups: GroupSet) -> None:
         """Ensure every referenced group exists in ``groups``."""
-        known = set(groups.keys)
         for name, keys in (
             ("must_have", self.must_have),
             ("must_not", self.must_not),
             ("priority", self.priority),
             ("standard", self.standard or frozenset()),
         ):
-            unknown = [k for k in keys if k not in known]
+            unknown = [k for k in keys if k not in groups]
             if unknown:
                 raise InvalidFeedbackError(
                     f"{name} references unknown groups: "
@@ -144,10 +149,11 @@ def _refine_mask_index(
 
 def _refine_users_index(
     index: InstanceIndex,
+    eligible: np.ndarray,
     repository: UserRepository,
     feedback: CustomizationFeedback,
 ) -> list[str]:
-    """Vectorized :func:`refine_users`: boolean masks over CSR incidence.
+    """Vectorized :func:`refine_users` from the row mask ``eligible``.
 
     Users the index does not know sit in no group: they can never
     violate must-not and only pass when there is no must-have
@@ -158,7 +164,6 @@ def _refine_users_index(
     materialization exists only for repositories with users outside
     the index.
     """
-    eligible = _refine_mask_index(index, feedback)
     eligible_ids = {index.users[i] for i in np.flatnonzero(eligible)}
     if feedback.must_have:
         return [u for u in repository.user_ids if u in eligible_ids]
@@ -215,6 +220,137 @@ def _exact_standard_max(
     return total
 
 
+def _customized_instance_exact(
+    instance: DiversificationInstance,
+    feedback: CustomizationFeedback,
+) -> DiversificationInstance:
+    """The dict path of :func:`customized_instance`: exact, any weights.
+
+    The oracle the array derivation (:func:`_rescaled_view`) is pinned
+    against, and the path for weights the int64 index refuses (EBS
+    big-ints, floats).  Float weights are lifted into
+    :class:`~fractions.Fraction` and the scale absorbs their common
+    denominator.
+    """
+    feedback.validate(instance.groups)
+    standard = feedback.resolve_standard(instance.groups)
+    restricted = instance.restricted_to_groups(feedback.priority | standard)
+    scale = _integer_weight_scale(
+        _exact_standard_max(instance, standard),
+        (instance.wei[k] for k in feedback.priority),
+    )
+    wei: dict[GroupKey, Weight] = {}
+    for key in restricted.groups.keys:
+        weight = _exact_weight(instance.wei[key])
+        wei[key] = weight * scale if key in feedback.priority else weight
+    return DiversificationInstance(
+        groups=restricted.groups,
+        wei=wei,
+        cov=restricted.cov,
+        budget=instance.budget,
+        population_size=instance.population_size,
+    )
+
+
+@dataclass(frozen=True)
+class _RescaledView:
+    """CUSTOM-DIVERSITY's rescaled instance, derived from the base index.
+
+    ``priority`` and ``standard`` are the dense ids of ``G_d`` and
+    ``G_d?`` in ``base`` (the cached index of the unscaled instance);
+    ``index`` is attached to ``instance`` as its cached index.
+    """
+
+    base: InstanceIndex
+    index: InstanceIndex
+    instance: DiversificationInstance
+    priority: np.ndarray
+    standard: np.ndarray
+
+
+def _dense_ids(index: InstanceIndex, keys: frozenset[GroupKey]) -> np.ndarray:
+    return np.fromiter(
+        (index.group_pos[k] for k in keys), dtype=np.int64, count=len(keys)
+    )
+
+
+def _rescaled_view(
+    instance: DiversificationInstance,
+    feedback: CustomizationFeedback,
+) -> _RescaledView | None:
+    """Prop. 6.5's rescaling, computed once from the cached base index.
+
+    The exact integer scale and every rescaled weight come from the base
+    index's int64 ``wei``/``cov`` (as Python ints, so the priority
+    products never wrap) — the same numbers the dict path computes.  They
+    feed both the derived index (:meth:`InstanceIndex.restricted_scaled`)
+    and the rescaled instance.  With the default ``G_d? = G − G_d`` the
+    active set is all of ``G``: the view then shares the base group set,
+    coverage map and every membership array, so nothing is re-encoded —
+    the cost is O(|G|) Python work plus one vectorized pass for the
+    derived index's initial gains.  Returns ``None`` when
+    the base index is not vectorizable (EBS big-ints, float weights);
+    callers take the exact dict path.  The derived index itself may still
+    refuse to vectorize (a priority rescale past int64).
+    """
+    index = instance_index(instance)
+    if not index.vectorizable:
+        return None
+    assert index.wei is not None
+    feedback.validate(instance.groups)
+    priority = _dense_ids(index, feedback.priority)
+    if feedback.standard is None:
+        in_standard = np.ones(index.n_groups, dtype=bool)
+        in_standard[priority] = False
+        active = np.ones(index.n_groups, dtype=bool)
+    else:
+        in_standard = np.zeros(index.n_groups, dtype=bool)
+        in_standard[_dense_ids(index, feedback.standard)] = True
+        active = in_standard.copy()
+        active[priority] = True
+    standard = np.flatnonzero(in_standard)
+    standard_max = sum(
+        w * c
+        for w, c in zip(
+            index.wei[standard].tolist(), index.cov[standard].tolist()
+        )
+    )
+    scale = _integer_weight_scale(standard_max)
+    weights = index.wei.tolist()
+    for g in priority.tolist():
+        weights[g] *= scale
+    keys = index.group_keys
+    if active.all():
+        derived = index.restricted_scaled(np.arange(index.n_groups), weights)
+        groups, cov = instance.groups, instance.cov
+        wei = dict(instance.wei)
+        for g in priority.tolist():
+            wei[keys[g]] = weights[g]
+    else:
+        kept = np.flatnonzero(active)
+        kept_weights = [weights[g] for g in kept.tolist()]
+        derived = index.restricted_scaled(kept, kept_weights)
+        restricted = instance.restricted_to_groups(derived.group_keys)
+        groups, cov = restricted.groups, restricted.cov
+        wei = dict(zip(derived.group_keys, kept_weights))
+    rescaled = DiversificationInstance(
+        groups=groups,
+        wei=wei,
+        cov=cov,
+        budget=instance.budget,
+        population_size=instance.population_size,
+    )
+    attach_index(rescaled, derived)
+    inherit_explanations(rescaled, instance)
+    return _RescaledView(
+        base=index,
+        index=derived,
+        instance=rescaled,
+        priority=priority,
+        standard=standard,
+    )
+
+
 def customized_instance(
     instance: DiversificationInstance,
     feedback: CustomizationFeedback,
@@ -230,113 +366,59 @@ def customized_instance(
     LBS/Iden/EBS case), while float weights are lifted into
     :class:`~fractions.Fraction` and the scale absorbs their common
     denominator, so the lexicographic order survives even adversarially
-    close scores that float multiplication would collapse.
+    close scores that float multiplication would collapse.  Vectorizable
+    instances are derived from the cached index (:func:`_rescaled_view`,
+    which also attaches the rescaled index); the rest take the dict path.
     """
-    feedback.validate(instance.groups)
-    standard = feedback.resolve_standard(instance.groups)
-    active = feedback.priority | standard
-    restricted = instance.restricted_to_groups(active)
-
-    standard_max = _exact_standard_max(instance, standard)
-    all_int = all(
-        isinstance(instance.wei[k], int)
-        and not isinstance(instance.wei[k], bool)
-        for k in restricted.groups.keys
-    )
-    if all_int:
-        scale = _integer_weight_scale(standard_max)
-        wei: dict[GroupKey, Weight] = {
-            key: (
-                instance.wei[key] * scale
-                if key in feedback.priority
-                else instance.wei[key]
-            )
-            for key in restricted.groups.keys
-        }
-    else:
-        scale = _integer_weight_scale(
-            standard_max,
-            (instance.wei[k] for k in feedback.priority),
-        )
-        wei = {
-            key: (
-                _exact_weight(instance.wei[key]) * scale
-                if key in feedback.priority
-                else _exact_weight(instance.wei[key])
-            )
-            for key in restricted.groups.keys
-        }
-    return DiversificationInstance(
-        groups=restricted.groups,
-        wei=wei,
-        cov=dict(restricted.cov),
-        budget=instance.budget,
-        population_size=instance.population_size,
-    )
+    view = _rescaled_view(instance, feedback)
+    if view is None:
+        return _customized_instance_exact(instance, feedback)
+    return view.instance
 
 
 def customized_index(
     instance: DiversificationInstance,
     feedback: CustomizationFeedback,
 ) -> InstanceIndex | None:
-    """Build the rescaled instance's sparse index by pure array ops.
+    """The rescaled instance's sparse index, derived from the base index.
 
-    Rather than re-encoding the rescaled dict instance from scratch, the
-    active groups are sliced out of the base instance's cached index and
-    the priority rows' weights multiplied by the exact integer scale —
-    the same numbers :func:`customized_instance` materializes, so matrix
-    selections over the derived index match the eager path bit for bit.
-    Returns ``None`` when the base index is not vectorizable (EBS
+    The numbers are those :func:`customized_instance` materializes, so
+    matrix selections over the derived index match the eager path bit for
+    bit.  Returns ``None`` when the base index is not vectorizable (EBS
     big-ints, float weights); callers then fall back to the dict path.
     """
-    index = instance_index(instance)
-    if not index.vectorizable:
-        return None
-    assert index.wei is not None
-    standard = feedback.resolve_standard(instance.groups)
-    active_keys = feedback.priority | standard
-    active = np.fromiter(
-        sorted(index.group_pos[k] for k in active_keys),
-        dtype=np.int64,
-        count=len(active_keys),
-    )
-    standard_max = sum(
-        int(index.wei[index.group_pos[k]]) * int(instance.cov[k])
-        for k in standard
-    )
-    scale = _integer_weight_scale(standard_max)
-    priority_ids = {index.group_pos[k] for k in feedback.priority}
-    weights = [
-        int(index.wei[g]) * (scale if int(g) in priority_ids else 1)
-        for g in active
-    ]
-    return index.restricted_scaled(active, weights)
+    view = _rescaled_view(instance, feedback)
+    return None if view is None else view.index
 
 
-def _score_over_keys(
+def _tier_scores(
     instance: DiversificationInstance,
-    index: InstanceIndex | None,
-    keys: frozenset[GroupKey],
-    selected: Iterable[str],
-) -> Weight:
-    """``score`` of ``selected`` restricted to the groups in ``keys``.
+    feedback: CustomizationFeedback,
+    view: _RescaledView | None,
+    selected: tuple[str, ...],
+) -> tuple[Weight, Weight]:
+    """``score_{G_d}`` and ``score_{G_d?}`` of ``selected``.
 
-    On a vectorizable index this is a masked gather over the cached hit
-    counts — no restricted dict instance (and hence no throwaway index
-    build) is materialized per request.
+    With a view this is one gather over the selected users' rows of the
+    base index; otherwise each tier is scored on a dict restriction.
     """
-    if not keys:
-        return 0
-    if index is not None and index.vectorizable:
-        assert index.wei is not None
-        ids = np.fromiter(
-            (index.group_pos[k] for k in keys), dtype=np.int64, count=len(keys)
+    if view is not None:
+        base = view.base
+        assert base.wei is not None
+        hits = base.selection_hits(selected)
+        capped = base.wei * np.minimum(hits, base.cov)
+        return int(capped[view.priority].sum()), int(
+            capped[view.standard].sum()
         )
-        hits = index.selection_hits(selected)
-        return int(
-            np.sum(index.wei[ids] * np.minimum(hits[ids], index.cov[ids]))
+    return tuple(
+        subset_score(instance.restricted_to_groups(keys), selected)
+        if keys
+        else 0
+        for keys in (
+            feedback.priority,
+            feedback.resolve_standard(instance.groups),
         )
-    return subset_score(instance.restricted_to_groups(keys), selected)
+    )
 
 
 @dataclass(frozen=True)
@@ -346,6 +428,11 @@ class CustomSelectionResult:
     ``priority_score`` and ``standard_score`` report ``score_{G_d}`` and
     ``score_{G_d?}`` separately (the lexicographic components), alongside
     the underlying :class:`SelectionResult` on the rescaled instance.
+    ``path`` names the path that ran: ``"rows"`` (the kernel on dense
+    rows), ``"pool"`` (the array kernel over an id pool: some repository
+    user sits in no group) or ``"exact"`` (the dict path: weights beyond
+    int64, or an eager/lazy run); the service counts every run off
+    ``"rows"`` as a fallback.
     """
 
     result: SelectionResult
@@ -353,6 +440,7 @@ class CustomSelectionResult:
     refined_pool_size: int
     priority_score: Weight
     standard_score: Weight
+    path: str
 
     @property
     def selected(self) -> tuple[str, ...]:
@@ -369,66 +457,60 @@ def custom_select(
 ) -> CustomSelectionResult:
     """Solve CUSTOM-DIVERSITY greedily (Prop. 6.5).
 
-    The default ``method="matrix"`` runs the whole pipeline on the sparse
-    index when the instance is vectorizable: the refined pool ``U'`` is a
-    boolean mask over the CSR incidence and the rescaled instance's index
-    is derived by integer ops on the base index's ``wei`` array
-    (:func:`customized_index`), so no per-request dict re-encode happens.
-    Selections are identical to ``method="eager"`` for every feedback —
-    non-vectorizable instances transparently take the exact dict path.
+    The array methods (default ``"matrix"``) derive the rescaled instance
+    and its index from the cached base index (:func:`_rescaled_view`) and
+    refine ``U'`` as a boolean mask over the CSR incidence.  When every
+    repository user is indexed, ``matrix`` then selects on dense rows
+    with no candidate id list at all (``path="rows"``); otherwise the
+    array kernel runs over the id pool (``"pool"``).  Weights beyond
+    int64 and the eager/lazy methods take the exact dict path
+    (``"exact"``).  Selections are identical to ``method="eager"`` for
+    every feedback.
 
     Raises :class:`InfeasibleSelectionError` when the must-have/must-not
     filters eliminate every candidate.
     """
-    base_index = (
-        instance_index(instance)
-        if method in ("matrix", "sharded", "stochastic")
-        else None
+    view = (
+        _rescaled_view(instance, feedback) if method in _ARRAY_METHODS else None
     )
-    if (
-        method == "matrix"
-        and base_index is not None
-        and base_index.vectorizable
-        and base_index.n_users == len(repository)
-    ):
-        # Fully-indexed fast path: refine, rescale and select entirely on
-        # dense rows.  No candidate id list is ever materialized — on a
-        # memory-mapped index only the ≤ budget winners are decoded.
-        fast = _custom_select_rows(
-            repository, instance, base_index, feedback, budget, rng
-        )
-        if fast is not None:
-            return fast
-    if base_index is not None and base_index.vectorizable:
+    if view is None:
         feedback.validate(instance.groups)
-        pool = _refine_users_index(base_index, repository, feedback)
-    else:
         pool = refine_users(repository, instance.groups, feedback)
-    if not pool:
+        rescaled = _customized_instance_exact(instance, feedback)
+        path = "exact"
+    else:
+        eligible = _refine_mask_index(view.base, feedback)
+        rescaled = view.instance
+        if (
+            method == "matrix"
+            and view.index.vectorizable
+            and view.base.n_users == len(repository)
+        ):
+            pool = np.flatnonzero(eligible)
+            path = "rows"
+        else:
+            pool = _refine_users_index(
+                view.base, eligible, repository, feedback
+            )
+            path = "pool" if view.index.vectorizable else "exact"
+    if not len(pool):
         raise InfeasibleSelectionError(
             "customization feedback filtered out every user"
         )
-    rescaled = customized_instance(instance, feedback)
-    if base_index is not None and base_index.vectorizable:
-        derived = customized_index(instance, feedback)
-        if derived is not None:
-            # greedy_select's array backends fetch the cached index, so
-            # pre-attaching the derived build avoids the dict re-encode.
-            attach_index(rescaled, derived)
-    result = greedy_select(
-        repository,
-        rescaled,
-        budget=budget,
-        candidates=pool,
-        method=method,
-        rng=rng,
-    )
-    standard = feedback.resolve_standard(instance.groups)
-    priority_score = _score_over_keys(
-        instance, base_index, feedback.priority, result.selected
-    )
-    standard_score = _score_over_keys(
-        instance, base_index, standard, result.selected
+    if path == "rows":
+        assert view is not None
+        result = _select_rows(view.index, pool, rescaled, budget, rng)
+    else:
+        result = greedy_select(
+            repository,
+            rescaled,
+            budget=budget,
+            candidates=pool,
+            method=method,
+            rng=rng,
+        )
+    priority_score, standard_score = _tier_scores(
+        instance, feedback, view, result.selected
     )
     return CustomSelectionResult(
         result=result,
@@ -436,63 +518,33 @@ def custom_select(
         refined_pool_size=len(pool),
         priority_score=priority_score,
         standard_score=standard_score,
+        path=path,
     )
 
 
-def _custom_select_rows(
-    repository: UserRepository,
-    instance: DiversificationInstance,
-    base_index: InstanceIndex,
-    feedback: CustomizationFeedback,
+def _select_rows(
+    index: InstanceIndex,
+    rows: np.ndarray,
+    rescaled: DiversificationInstance,
     budget: int | None,
     rng: np.random.Generator | None,
-) -> CustomSelectionResult | None:
-    """CUSTOM-DIVERSITY on dense rows (every repository user indexed).
+) -> SelectionResult:
+    """Greedy over the dense ``rows`` of the derived index.
 
-    Selects identically to the id-pool path: the eligible rows ascend in
-    user-id order (the index invariant), so the kernel over these row
-    slots picks exactly what it picks over the id pool ``sorted(pool)``,
-    and ``refined_pool_size`` equals ``len(pool)`` because no user sits
-    outside the index.  Returns ``None`` when the *derived* index
-    cannot vectorize (the priority rescale pushed a weight past int64) —
-    the caller falls back to the exact dict path.
+    Selects identically to the id-pool path: the rows ascend in user-id
+    order (the index invariant), so the kernel over these row slots picks
+    exactly what it picks over the id pool ``sorted(pool)``.  Only the
+    winners' ids are decoded.
     """
-    budget = instance.budget if budget is None else budget
+    budget = rescaled.budget if budget is None else budget
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
-    feedback.validate(instance.groups)
-    eligible = _refine_mask_index(base_index, feedback)
-    pool_size = int(np.count_nonzero(eligible))
-    if not pool_size:
-        raise InfeasibleSelectionError(
-            "customization feedback filtered out every user"
-        )
-    derived = customized_index(instance, feedback)
-    if derived is None or not derived.vectorizable:
-        return None
-    rescaled = customized_instance(instance, feedback)
-    attach_index(rescaled, derived)
-    rows = np.flatnonzero(eligible)
-    picked, gains, score = greedy_kernel(derived, rows, budget, rng)
-    result = SelectionResult(
-        selected=tuple(str(derived.users[rows[p]]) for p in picked),
+    picked, gains, score = greedy_kernel(index, rows, budget, rng)
+    return SelectionResult(
+        selected=tuple(str(index.users[rows[p]]) for p in picked),
         score=score,
         gains=tuple(gains),
         instance=rescaled,
-    )
-    standard = feedback.resolve_standard(instance.groups)
-    priority_score = _score_over_keys(
-        instance, base_index, feedback.priority, result.selected
-    )
-    standard_score = _score_over_keys(
-        instance, base_index, standard, result.selected
-    )
-    return CustomSelectionResult(
-        result=result,
-        feedback=feedback,
-        refined_pool_size=pool_size,
-        priority_score=priority_score,
-        standard_score=standard_score,
     )
 
 

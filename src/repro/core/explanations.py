@@ -39,14 +39,23 @@ import numpy as np
 
 from .errors import PodiumError
 from .greedy import SelectionResult
-from .groups import GroupKey
+from .groups import GroupKey, GroupSet
 from .index import InstanceIndex, instance_index
 from .instance import DiversificationInstance
 from .weights import Weight
 
-#: Attribute under which the selection-independent explanation state
-#: (sort orders + memoized group explanations) is cached on an instance.
+#: Attribute under which the weight-dependent explanation state (the
+#: weight order + memoized group explanations) is cached on an instance.
 _EXPLAIN_CACHE_ATTR = "_podium_explain_cache"
+
+#: Attribute under which the weight-independent state (the str(key) rank
+#: of every dense group id + the group labels) is cached on a group set,
+#: shared by every instance over it: the budgets of one configuration
+#: and the customized views derived from them.
+_EXPLAIN_RANKS_ATTR = "_podium_explain_ranks"
+
+#: Attribute linking a derived instance to the one it was derived from.
+_EXPLAIN_BASE_ATTR = "_podium_explain_base"
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,79 @@ class SelectionExplanation:
         return tuple(
             e for e in self.subset_group_explanations if not e.covered
         )
+
+
+def inherit_explanations(
+    derived: DiversificationInstance, base: DiversificationInstance
+) -> None:
+    """Let ``derived`` reuse ``base``'s memoized group explanations.
+
+    Customization derives a rescaled instance per request that shares the
+    base's group set and dense group ids but changes a few weights.  The
+    first explanation of ``derived`` then takes every memoized
+    :class:`GroupExplanation` of ``base`` whose weight and coverage did
+    not change, instead of rebuilding all of them.
+    """
+    object.__setattr__(derived, _EXPLAIN_BASE_ATTR, base)
+
+
+def _group_ranks(
+    groups: GroupSet, idx: InstanceIndex
+) -> tuple[np.ndarray, list]:
+    """The str(key) rank of every dense group id, and the label slots.
+
+    Cached on the group set for this index's group-key tuple, so every
+    instance indexed over the same keys (``reweighted`` and identity
+    ``restricted_scaled`` share the tuple) pays the O(|G| log |G|) string
+    sort once.  str(key) determines the key's fields, so the order has no
+    ties and matches the oracle's ``sorted(keys, key=str)`` exactly.
+    Labels are filled lazily by the explanations that need them.
+    """
+    cached = groups.__dict__.get(_EXPLAIN_RANKS_ATTR)
+    if (
+        cached is not None
+        and cached[0] == groups.version
+        and cached[1] is idx.group_keys
+    ):
+        return cached[2], cached[3]
+    group_keys = idx.group_keys
+    str_order = sorted(range(idx.n_groups), key=lambda g: str(group_keys[g]))
+    str_rank = np.empty(idx.n_groups, dtype=np.int64)
+    str_rank[str_order] = np.arange(idx.n_groups, dtype=np.int64)
+    labels: list = [None] * idx.n_groups
+    setattr(
+        groups,
+        _EXPLAIN_RANKS_ATTR,
+        (groups.version, group_keys, str_rank, labels),
+    )
+    return str_rank, labels
+
+
+def _inherited_memo(
+    instance: DiversificationInstance, idx: InstanceIndex
+) -> list:
+    """Group-explanation memo for ``instance``, seeded from its base.
+
+    An entry is taken from the base instance's memo (see
+    :func:`inherit_explanations`) when both indexes number the groups
+    identically and the group's weight and coverage are unchanged — the
+    memoized triple is then exactly the one this instance would build.
+    """
+    memo: list = [None] * idx.n_groups
+    base = instance.__dict__.get(_EXPLAIN_BASE_ATTR)
+    cached = None if base is None else base.__dict__.get(_EXPLAIN_CACHE_ATTR)
+    if cached is None or cached[0] != base.groups.version:
+        return memo
+    base_idx, base_memo = cached[1], cached[3]
+    if (
+        base_idx.group_keys is not idx.group_keys
+        or not (base_idx.vectorizable and idx.vectorizable)
+    ):
+        return memo
+    same = (base_idx.wei == idx.wei) & (base_idx.cov == idx.cov)
+    for gid in np.flatnonzero(same).tolist():
+        memo[gid] = base_memo[gid]
+    return memo
 
 
 def explain_group(
@@ -295,41 +377,34 @@ def explain_selection_index(
     hits = idx.selection_hits(selected)
     group_keys = idx.group_keys
 
-    # Selection-independent per-group state — the weight-sorted order,
-    # the sort-by-str(key) ranks and the memoized group-explanation
-    # objects — is cached on the instance (same invalidation contract as
-    # the cached index: drop when the group set mutates or the index is
-    # swapped), so a serving process explaining many selections against
-    # one artifact pays the O(|G| log |G|) sorts once.
+    str_rank, labels = _group_ranks(groups, idx)
+    # Weight-dependent state — the weight-sorted order and the memoized
+    # group-explanation objects — is cached on the instance (same
+    # invalidation contract as the cached index: drop when the group set
+    # mutates or the index is swapped), so a serving process explaining
+    # many selections against one artifact sorts once.
     cached = instance.__dict__.get(_EXPLAIN_CACHE_ATTR)
     if (
         cached is not None
         and cached[0] == groups.version
         and cached[1] is idx
     ):
-        _, _, by_weight, str_rank, labels, memo = cached
+        _, _, by_weight, memo = cached
     else:
-        by_weight = sorted(
-            range(idx.n_groups),
-            key=lambda g: (-wei[group_keys[g]], str(group_keys[g])),
-        )
-        # Rank of every dense group id under the sort-by-str(key) order
-        # the per-user explanations use; computed once so each user's
-        # CSR row is ordered by one small argsort instead of a per-user
-        # key sort.  str(key) determines the key's fields, so the order
-        # has no ties and matches the oracle's ``sorted(keys, key=str)``
-        # exactly.
-        str_order = sorted(
-            range(idx.n_groups), key=lambda g: str(group_keys[g])
-        )
-        str_rank = np.empty(idx.n_groups, dtype=np.int64)
-        str_rank[str_order] = np.arange(idx.n_groups, dtype=np.int64)
-        labels = [None] * idx.n_groups
-        memo = [None] * idx.n_groups
+        if idx.vectorizable:
+            assert idx.wei is not None
+            by_weight = np.lexsort((str_rank, -idx.wei)).tolist()
+        else:
+            rank = str_rank.tolist()
+            by_weight = sorted(
+                range(idx.n_groups),
+                key=lambda g: (-wei[group_keys[g]], rank[g]),
+            )
+        memo = _inherited_memo(instance, idx)
         object.__setattr__(
             instance,
             _EXPLAIN_CACHE_ATTR,
-            (groups.version, idx, by_weight, str_rank, labels, memo),
+            (groups.version, idx, by_weight, memo),
         )
 
     def label_of(gid: int) -> str:

@@ -238,7 +238,9 @@ def _greedy_eager(
         if not remaining:  # Line 4: pool exhausted before the budget.
             break
         best = max(marg[u] for u in remaining)
-        tied = [u for u in remaining if marg[u] == best]
+        # Ascending id order, as lazy and matrix draw ties: ``remaining``
+        # is a set of strings, whose order changes with the hash seed.
+        tied = sorted(u for u in remaining if marg[u] == best)
         chosen = _pick_tie(tied, rng)  # Line 5 (+ tie policy).
         remaining.discard(chosen)  # Line 6.
         gains.append(state.add(chosen))

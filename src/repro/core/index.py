@@ -234,10 +234,14 @@ class InstanceIndex:
             assert weights is not None
             # Exact Python-int bound on every partial sum any backend
             # forms: gains, scores and cumulative sums all total at most
-            # Σ_G wei(G)·|G| (coverage caps only shrink terms).
+            # Σ_G wei(G)·|G| (coverage caps only shrink terms).  An empty
+            # group adds nothing to the mass, but its weight must still
+            # fit the int64 ``wei`` array.
             sizes = np.diff(np.asarray(g_indptr)).tolist()
             mass = sum(w * size for w, size in zip(weights, sizes))
-            vectorizable = mass <= _INT64_MAX
+            vectorizable = mass <= _INT64_MAX and max(
+                weights, default=0
+            ) <= _INT64_MAX
         wei = initial_gains = None
         if vectorizable:
             wei = np.fromiter(weights, dtype=np.int64, count=n_groups)
@@ -535,31 +539,53 @@ class InstanceIndex:
         """Derived index over a group subset with replacement weights.
 
         The customization path (paper §6) restricts an instance to the
-        active groups ``G_d ∪ G_d?`` and rescales priority weights; doing
-        that on the dict-based instance re-walks every membership set in
-        Python.  Here the restriction is pure array work on the existing
-        CSR arrays: group rows are sliced and re-numbered, the user-side
-        CSR is rebuilt with the same stable counting sort as
-        :meth:`build`, and ``weights`` (exact Python ints, parallel to
-        ``group_dense_ids``) replace the originals.  The user id space is
-        kept whole — users left with no active group simply have empty
-        rows and zero initial gain, which selects identically to absent
-        users.
+        active groups ``G_d ∪ G_d?`` (``group_dense_ids``, strictly
+        ascending) and rescales priority weights; ``weights`` (exact
+        Python ints, parallel to ``group_dense_ids``) replace the
+        originals.  No membership is re-encoded:
+
+        * keeping every group (the default feedback's ``G_d ∪ (G − G_d)``)
+          shares every membership array, ``cov`` and both id maps with
+          this index, exactly like :meth:`reweighted`;
+        * a strict subset is one gather of the user-side entries through
+          a renumbering table (kept groups keep their relative order,
+          dropped ones map to ``-1`` and are filtered out, so each user
+          row keeps its surviving entries in place — rows are sets to
+          every consumer, see ``g_indices``) plus one contiguous gather
+          of the kept group rows.  No argsort.
+
+        The user id space is kept whole — users left with no active group
+        have empty rows and zero initial gain, which selects identically
+        to absent users.
         """
         group_dense_ids = np.asarray(group_dense_ids, dtype=np.int64)
         m = len(group_dense_ids)
-        sizes = self.row_sizes(group_dense_ids)
-        g_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=g_indptr[1:])
-        g_indices = self.members_of_rows(group_dense_ids)
-        entry_group = np.repeat(np.arange(m, dtype=id_dtype(m)), sizes)
-        order = np.argsort(g_indices, kind="stable")
-        u_indices = entry_group[order]
-        degree = np.bincount(
-            g_indices, minlength=self.n_users
-        ).astype(np.int64)
+        if m == self.n_groups:
+            return InstanceIndex.from_csr(
+                users=self.users,
+                group_keys=self.group_keys,
+                u_indptr=self.u_indptr,
+                u_indices=self.u_indices,
+                g_indptr=self.g_indptr,
+                g_indices=self.g_indices,
+                cov=self.cov,
+                weights=weights,
+                user_pos=self.user_pos,
+                group_pos=self.group_pos,
+            )
+        renumber = np.full(self.n_groups, -1, dtype=id_dtype(m))
+        renumber[group_dense_ids] = np.arange(m)
+        mapped = renumber[self.u_indices]
+        u_indices = mapped[mapped >= 0]
+        g_indices = self.g_indices[
+            np.repeat(renumber >= 0, np.diff(self.g_indptr))
+        ]
         u_indptr = np.zeros(self.n_users + 1, dtype=np.int64)
-        np.cumsum(degree, out=u_indptr[1:])
+        np.cumsum(
+            np.bincount(g_indices, minlength=self.n_users), out=u_indptr[1:]
+        )
+        g_indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(self.row_sizes(group_dense_ids), out=g_indptr[1:])
         return InstanceIndex.from_csr(
             users=self.users,
             group_keys=tuple(self.group_keys[g] for g in group_dense_ids),
@@ -567,7 +593,7 @@ class InstanceIndex:
             u_indices=u_indices,
             g_indptr=g_indptr,
             g_indices=g_indices,
-            cov=self.cov[group_dense_ids].copy(),
+            cov=self.cov[group_dense_ids],
             weights=weights,
             user_pos=self.user_pos,
         )

@@ -91,13 +91,24 @@ class DiversificationInstance:
         """Project the instance onto a subset of its groups.
 
         Used by customization: the priority and standard coverage scores
-        are each computed on a restriction of the full instance.
+        are each computed on a restriction of the full instance.  The
+        projection keeps ``keys`` in the order given.  Keeping every
+        group shares this instance's group set and weight/coverage maps
+        (instances are immutable), so no per-group copy is made.
         """
-        keep = set(keys)
+        keep = list(dict.fromkeys(keys))
+        if len(keep) == len(self.groups) and all(
+            k in self.groups for k in keep
+        ):
+            groups, wei, cov = self.groups, self.wei, self.cov
+        else:
+            groups = self.groups.subset(keep)
+            wei = {k: self.wei[k] for k in keep}
+            cov = {k: self.cov[k] for k in keep}
         return DiversificationInstance(
-            groups=self.groups.subset(keep),
-            wei={k: w for k, w in self.wei.items() if k in keep},
-            cov={k: c for k, c in self.cov.items() if k in keep},
+            groups=groups,
+            wei=wei,
+            cov=cov,
             budget=self.budget,
             population_size=self.population_size,
         )

@@ -1062,6 +1062,8 @@ class PodiumService:
                     effective,
                     method="matrix",
                 )
+            if custom.path != "rows":
+                self.metrics.observe_custom_fallback()
             result = custom.result
             response = {
                 "configuration": config_name,

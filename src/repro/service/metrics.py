@@ -11,6 +11,9 @@ object:
 * **selection fallbacks** — plain selections the sparse index could not
   serve (a user in no group, or weights beyond int64), answered by the
   repository-wide greedy instead;
+* **customization fallbacks** — feedback selections that left the
+  dense-row path (the id pool when a user sits in no group, the exact
+  dict path for weights beyond int64);
 * **stage timings** — cumulative/max seconds per pipeline stage
   (``grouping``, ``instance``, ``selection``, ``explanation``), so a slow
   layer is visible without a profiler.
@@ -90,6 +93,7 @@ class ServiceMetrics:
             "infeasible": 0,
         }
         self._fallbacks = 0
+        self._custom_fallbacks = 0
         self._started = time.time()
 
     # -- observation -------------------------------------------------------
@@ -165,6 +169,17 @@ class ServiceMetrics:
         """
         with self._lock:
             self._fallbacks += 1
+
+    def observe_custom_fallback(self) -> None:
+        """Record a feedback selection served off the dense-row path.
+
+        Customization selects on dense rows when every user sits in
+        some group and the rescaled weights fit int64; otherwise it runs
+        over an id pool or the exact dict path, and this counter makes
+        each such request visible.
+        """
+        with self._lock:
+            self._custom_fallbacks += 1
 
     def observe_cache(self, hit: bool) -> None:
         """Record an artifact-cache lookup outcome."""
@@ -246,6 +261,7 @@ class ServiceMetrics:
                 },
                 "constraints": dict(self._constraints),
                 "selection": {"fallback": self._fallbacks},
+                "customization": {"fallback": self._custom_fallbacks},
                 "stages": stages,
             }
 
@@ -264,6 +280,7 @@ WORKER_COUNTER_FIELDS = (
     "syncs",
     "sync_failures",
     "selection_fallbacks",
+    "customization_fallbacks",
 )
 
 

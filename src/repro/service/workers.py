@@ -493,6 +493,10 @@ class _SharedSlotMetrics(ServiceMetrics):
         super().observe_fallback()
         self._bump("selection_fallbacks")
 
+    def observe_custom_fallback(self) -> None:
+        super().observe_custom_fallback()
+        self._bump("customization_fallbacks")
+
 
 class WorkerRuntime:
     """One worker's view of the pool: freshness, forwarding, cluster RPC.

@@ -130,6 +130,54 @@ class TestTieBreaking:
             )
             assert result.score == 17
 
+    @pytest.mark.parametrize("repo_seed", range(4))
+    def test_seeded_methods_draw_the_same_ties(self, repo_seed):
+        """Iden weights on a coarse grouping tie most gains: every method
+        draws a seeded tie from the candidates in ascending id order."""
+        repo = generate_profile_repository(60, 8, 3.0, seed=repo_seed)
+        instance = build_instance(repo, 15, weight_scheme=IdenWeights())
+        for rng_seed in range(5):
+            runs = {
+                method: greedy_select(
+                    repo, instance, 15, method=method,
+                    rng=np.random.default_rng(rng_seed),
+                )
+                for method in ("eager", "lazy", "matrix")
+            }
+            picks = {(r.selected, r.gains) for r in runs.values()}
+            assert len(picks) == 1, {m: r.selected for m, r in runs.items()}
+
+    def test_seeded_eager_ignores_the_hash_seed(self):
+        """String hashing is randomized per process; a seeded eager run
+        must pick the same users under every ``PYTHONHASHSEED``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import numpy as np\n"
+            "from repro.core import build_instance, greedy_select\n"
+            "from repro.core.weights import IdenWeights\n"
+            "from repro.datasets.synth import generate_profile_repository\n"
+            "repo = generate_profile_repository(120, 12, 3.0, seed=7)\n"
+            "instance = build_instance(repo, 20, weight_scheme=IdenWeights())\n"
+            "print(greedy_select(repo, instance, 20, method='eager',\n"
+            "      rng=np.random.default_rng(3)).selected)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
+
 
 class TestSelectionResult:
     def test_container_protocol(self, table2_repo, table2_instance):

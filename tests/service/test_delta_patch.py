@@ -5,7 +5,8 @@ buckets and splices its cached index once, sharing the membership
 arrays across budgets.  These tests pin that no delta re-encodes an
 index, that every served body equals the one a freshly built index of
 the same instance would produce, and that plain selections routed to
-the repository-wide greedy are counted on ``GET /metrics``.
+the repository-wide greedy, and feedback selections off the dense-row
+path, are counted on ``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -213,8 +214,69 @@ class TestFallbackCounter:
         shared = SharedPoolState(2)
         metrics = _SharedSlotMetrics(shared, 1)
         metrics.observe_fallback()
+        metrics.observe_custom_fallback()
         assert shared.counter_row(1)["selection_fallbacks"] == 1
+        assert shared.counter_row(1)["customization_fallbacks"] == 1
         assert metrics.snapshot()["selection"]["fallback"] == 1
+        assert metrics.snapshot()["customization"]["fallback"] == 1
+
+
+class TestCustomizationFallbackCounter:
+    """Feedback selections off the dense-row path are counted."""
+
+    @staticmethod
+    def feedback_request(service, name):
+        key = service.instance_for(name, 4).groups.keys[0]
+        return {
+            "configuration": name,
+            "budget": 4,
+            "feedback": {"priority": [[key.property_label, key.bucket_label]]},
+        }
+
+    @staticmethod
+    def fallbacks(call):
+        _, raw = call("GET", "/metrics")
+        return json.loads(raw)["customization"]["fallback"]
+
+    def test_dense_rows_are_not_a_fallback(self):
+        service = boot()
+        call = raw_client(service)
+        status, raw = call(
+            "POST", "/select", self.feedback_request(service, "default")
+        )
+        assert status == 200, raw
+        assert self.fallbacks(call) == 0
+
+    def test_ebs_configuration_takes_the_exact_path(self):
+        service = boot()
+        call = raw_client(service)
+        status, raw = call(
+            "POST", "/configurations", {"name": "ebs", "weight_scheme": "EBS"}
+        )
+        assert status == 201, raw
+        request = self.feedback_request(service, "ebs")
+        for _ in range(2):
+            status, raw = call("POST", "/select", request)
+            assert status == 200, raw
+        assert self.fallbacks(call) == 2
+
+    def test_user_in_no_group_takes_the_id_pool(self):
+        service = boot()
+        call = raw_client(service)
+        request = self.feedback_request(service, "default")
+        before = json.loads(call("POST", "/select", request)[1])
+        assert self.fallbacks(call) == 0
+        call(
+            "POST",
+            "/profiles/delta",
+            {"upserts": {"novel": {"never-seen": 0.5}}},
+        )
+        status, raw = call("POST", "/select", request)
+        assert status == 200, raw
+        after = json.loads(raw)
+        # The ungrouped user joins the pool but adds no group.
+        assert after["refined_pool_size"] == before["refined_pool_size"] + 1
+        assert self.fallbacks(call) == 1
 
 
 @pytest.mark.parametrize("name", ["default", "lbs-prop"])
